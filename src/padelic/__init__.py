@@ -10,10 +10,9 @@ from .globalbasis import (BasisFamily, CharIdeal, char_ideal, crt_combine,
                           global_membership, regular_basis)
 from .mahler import (AdelicMahlerSeries, MahlerSeries, StepFunction, evaluate,
                      expand, expand_adelic, expand_in_basis, sup_norm_data)
-from .ordering import (POrdering, basis_rational, local_basis, local_membership,
-                       p_ordering, product_poly, rational_lift)
-from .padic import (INF, PAdicInt, PAdicNumber, default_precision, embed,
-                    set_default_precision, valp)
+from .ordering import (POrdering, basis_rational, local_membership, p_ordering,
+                       product_poly, rational_lift)
+from .padic import DEFAULT_PRECISION, INF, PAdicInt, residue, valp
 from .polys import RatPoly, format_poly, parse_poly
 from .sets import (FULL, PZP, UNKNOWN, AdelicSet, CompactSet, contains,
                    count_mod_p, normalize, parse_adelic, parse_set, residues)

@@ -8,16 +8,17 @@ fails to be a unit are ever materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .errors import NoAdelicOrdering, PrecisionExhausted
+from .errors import NoAdelicOrdering
+from .globalbasis import _prime_factors
 from .ordering import POrdering, basis_rational, p_ordering
-from .padic import PAdicInt, PAdicNumber, Rat, default_precision, embed, valp
+from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet
-from .utils import primes_up_to
+from .utils import is_prime, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -27,30 +28,17 @@ class AdelicPoint:
     tracked: Dict[int, PAdicInt]
     default: Fraction
 
-    def component_value(self, p: int) -> Rat:
-        """Exact rational representative of the p-component (tracked: residue)."""
-        if p in self.tracked:
-            return self.tracked[p].residue
-        return self.default
-
 
 @dataclass(frozen=True)
 class AdelicPoly:
     """Polynomial with adelic coefficients, materialized at finitely many primes."""
 
     degree: int
-    tracked: Dict[int, Tuple[PAdicNumber, ...]]
+    tracked: Dict[int, RatPoly]
     default: RatPoly
-    integral_elsewhere: bool
-    exact_tracked: Dict[int, RatPoly] = field(default_factory=dict)
 
     def component(self, p: int) -> RatPoly:
-        """Exact rational form of the p-component where available."""
-        if p in self.exact_tracked:
-            return self.exact_tracked[p]
-        if p in self.tracked:
-            raise PrecisionExhausted(f"component at {p} only known to finite precision")
-        return self.default
+        return self.tracked.get(p, self.default)
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,6 @@ class AdelicOrdering:
     points: Tuple[AdelicPoint, ...]
     local: Dict[int, POrdering]
     exceptions: Tuple[Tuple[int, ...], ...]  # per index: primes with positive step valuation
-    precision: int
 
     def length(self) -> int:
         return len(self.points)
@@ -88,7 +75,7 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
     components are the diagonal sequence 0, 1, 2, ...
     """
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     if length < 1:
         raise ValueError("length must be >= 1")
     if a.default == PZP and length >= 2:
@@ -96,18 +83,17 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
             "pZ_p default gives step valuation >= 1 at every untracked prime")
     top = length - 1
     local = {p: p_ordering(comp, top, n_prec) for p, comp in a.tracked.items()}
-    points = []
-    for n in range(length):
-        tracked_pts = {p: PAdicInt(p, local[p].point_residues()[n], n_prec)
-                       for p in local}
-        points.append(AdelicPoint(tracked=tracked_pts, default=Fraction(n)))
+    res = {p: o.point_residues() for p, o in local.items()}
+    points = [AdelicPoint(tracked={p: PAdicInt(p, res[p][n], n_prec) for p in local},
+                          default=Fraction(n))
+              for n in range(length)]
     exceptions = []
     for n in range(length):
         exc = {p for p in primes_up_to(n) if p not in a.tracked}
         exc.update(p for p in local if local[p].w[n] > 0)
         exceptions.append(tuple(sorted(exc)))
     return AdelicOrdering(set=a, points=tuple(points), local=local,
-                          exceptions=tuple(exceptions), precision=n_prec)
+                          exceptions=tuple(exceptions))
 
 
 def adelic_basis(o: AdelicOrdering, n: int) -> AdelicPoly:
@@ -119,16 +105,13 @@ def adelic_basis(o: AdelicOrdering, n: int) -> AdelicPoly:
     if n > o.length() - 1:
         raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
     default = RatPoly.binomial(n)
-    exact: Dict[int, RatPoly] = {}
+    tracked: Dict[int, RatPoly] = {}
     for p, ordering in o.local.items():
-        exact[p] = basis_rational(ordering, n)
+        tracked[p] = basis_rational(ordering, n)
     for p in primes_up_to(n):
-        if p not in exact:
-            exact[p] = default  # diagonal component, written explicitly at p
-    tracked = {p: tuple(embed(c, p, o.precision) for c in f.coeffs)
-               for p, f in exact.items()}
-    return AdelicPoly(degree=n, tracked=tracked, default=default,
-                      integral_elsewhere=True, exact_tracked=exact)
+        if p not in tracked:
+            tracked[p] = default  # diagonal component, written explicitly at p
+    return AdelicPoly(degree=n, tracked=tracked, default=default)
 
 
 def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
@@ -149,28 +132,10 @@ def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> set:
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def poly_as_adelic(f: RatPoly, o: AdelicOrdering) -> AdelicPoly:
     """Re-read a rational polynomial as an adelic polynomial (equal components)."""
     primes = set(o.local) | _prime_factors(f.denominator())
-    exact = {p: f for p in primes}
-    tracked = {p: tuple(embed(c, p, o.precision) for c in f.coeffs) for p in primes}
-    return AdelicPoly(degree=max(f.degree(), 0), tracked=tracked, default=f,
-                      integral_elsewhere=not _prime_factors(f.denominator()) - primes,
-                      exact_tracked=exact)
+    return AdelicPoly(degree=max(f.degree(), 0), tracked={p: f for p in primes}, default=f)
 
 
 def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]
@@ -180,6 +145,9 @@ def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]
     Input components are ball unions in Q_p, given as (center, radius
     exponent) with rational centers of possibly negative valuation.
     """
+    for p in components:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not a prime")
     exps = {}
     for p, balls in components.items():
         if not balls:
@@ -195,10 +163,7 @@ def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]
         scaled = []
         for c, k in balls:
             k2 = k + exps[p]
-            c2 = Fraction(c) * d
-            mod = p ** k2
-            scaled.append((c2.numerator * pow(c2.denominator, -1, mod) % mod if mod > 1
-                           else 0, k2))
+            scaled.append((residue(Fraction(c) * d, p ** k2), k2))
         tracked[p] = CompactSet.from_balls(p, scaled)
     return d, AdelicSet(tracked=tracked, default=FULL)
 

@@ -16,7 +16,7 @@ from .errors import CertificateFailed
 from .globalbasis import crt_combine, global_membership
 from .mahler import StepFunction, expand
 from .ordering import basis_rational
-from .padic import default_precision, valp
+from .padic import DEFAULT_PRECISION, valp
 from .polys import RatPoly
 from .sets import AdelicSet, residues
 
@@ -51,7 +51,7 @@ class ApproxCertificate:
 def approximate(r: ApproxRequest, n_prec: int = None) -> ApproxCertificate:
     """Rational polynomial within p^-k of each target, integer-valued on the set."""
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     if not r.targets:
         return ApproxCertificate(poly=RatPoly.zero(), closeness={}, member=True,
                                  degree=-1, attempts=1)

@@ -18,7 +18,7 @@ from .errors import (CertificateFailed, NoAdelicOrdering, NotCertified,
 from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
-from .padic import default_precision
+from .padic import DEFAULT_PRECISION
 from .polys import format_poly, parse_poly
 from .sets import (AdelicSet, adelic_from_json, adelic_to_json, parse_adelic,
                    parse_set, set_from_json)
@@ -51,7 +51,7 @@ def _load_request(path: str) -> Dict[str, Any]:
 
 def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
     domain = set_from_json(obj["set"])
-    n_prec = int(obj.get("N", default_precision()))
+    n_prec = int(obj.get("N", DEFAULT_PRECISION))
     table = {int(k): int(v) for k, v in obj["table"].items()}
     return StepFunction(prime=int(obj["p"]), domain=domain,
                        modulus_exp=int(obj["m"]), table=table, precision=n_prec)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, NotFinitelyGenerated, SetTooSmall
 from .ordering import local_membership, p_ordering, rational_lift
-from .padic import default_precision, valp
+from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p
 from .utils import primes_up_to, v_of_factorial
@@ -47,7 +46,6 @@ class BasisFamily:
 
     set: AdelicSet
     polys: Tuple[RatPoly, ...]
-    certified_depth: Dict[int, int]
 
 
 def _component_w(a: AdelicSet, p: int, n: int, n_prec: int) -> int:
@@ -64,7 +62,7 @@ def _component_w(a: AdelicSet, p: int, n: int, n_prec: int) -> int:
 def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:
     """The degree-n characteristic module of the set, as a factored fractional ideal."""
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     if n < 0:
         raise ValueError("degree must be >= 0")
     if a.default == PZP and n >= 1:
@@ -105,16 +103,14 @@ def crt_combine(parts: Sequence[Tuple[int, int, RatPoly]], degree_cap: int) -> R
         scale = 1
         for p in primes:
             scale *= p ** exps[p]
-        residue, modulus = 0, 1
+        r, modulus = 0, 1
         for p, k, _ in parts:
             m = p ** (k + exps[p])
-            c = cs[p] * scale
-            t = c.numerator * pow(c.denominator, -1, m) % m
-            g, x, _ = _xgcd(modulus, m)
-            assert g == 1
-            residue = (residue + (t - residue) * x % m * modulus) % (modulus * m)
+            t = residue(cs[p] * scale, m)
+            x = pow(modulus, -1, m)
+            r = (r + (t - r) * x % m * modulus) % (modulus * m)
             modulus *= m
-        out.append(Fraction(residue, scale))
+        out.append(Fraction(r, scale))
     return RatPoly.make(out)
 
 
@@ -140,7 +136,7 @@ def basis_prime_set(a: AdelicSet, n: int) -> List[int]:
 def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFamily:
     """Z-basis with one polynomial of each degree up to max_degree."""
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     polys: List[RatPoly] = []
     for n in range(max_degree + 1):
         ideal = char_ideal(a, n, n_prec)
@@ -150,14 +146,12 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
         if not p_set:
             polys.append(RatPoly.x_power(n))
             continue
-        parts = []
-        for p in p_set:
-            comp = a.component(p)
-            lift = rational_lift(p_ordering(comp, n, n_prec), n)
-            parts.append((p, 1, lift.rational))
+        parts = [(p, 1, rational_lift(p_ordering(a.component(p), n, n_prec), n))
+                 for p in p_set]
         f_n = crt_combine(parts, n)
         assert f_n.degree() == n  # lifts are monic/p^w, so the top residue is a unit
-        # Bezout step: move the leading coefficient to exactly 1/b
+        # Bezout step: move the leading coefficient to exactly 1/b (the pair
+        # (u, v) from _xgcd fixes the output; another pair changes every poly)
         c = f_n.lc()
         aa, b = c.numerator, c.denominator
         g, u, v = _xgcd(aa, b)
@@ -165,8 +159,7 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
         g_n = f_n.scale(u) + RatPoly.x_power(n, v)
         assert g_n.lc() == Fraction(1, b) and b == ideal.denominator()
         polys.append(g_n)
-    return BasisFamily(set=a, polys=tuple(polys),
-                       certified_depth={p: n_prec for p in a.tracked})
+    return BasisFamily(set=a, polys=tuple(polys))
 
 
 def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
@@ -178,7 +171,7 @@ def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
     (checked directly).
     """
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     if f.is_zero():
         return True
     for p, comp in a.tracked.items():

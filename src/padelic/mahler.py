@@ -16,10 +16,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
-from .padic import INF, PAdicInt, Rat, default_precision, valp
+from .padic import DEFAULT_PRECISION, INF, PAdicInt, Rat, residue, valp
 from .sets import CompactSet, residues
-
-Point = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,8 @@ class StepFunction:
     precision: int
 
     def __post_init__(self):
+        if self.prime != self.domain.prime:
+            raise ValueError(f"{self.prime}-adic function on a {self.domain.prime}-adic domain")
         keys = residues(self.domain, self.modulus_exp)
         if set(self.table) != keys:
             raise ValueError("table keys must be exactly the domain residues")
@@ -46,22 +46,18 @@ class StepFunction:
         """Sampling adaptor: tabulate fn on residues (approximation by uniform
         continuity; the table is the function actually expanded)."""
         if n_prec is None:
-            n_prec = default_precision()
+            n_prec = DEFAULT_PRECISION
         p = domain.prime
-        mod = p ** n_prec
         table = {}
         for r in residues(domain, modulus_exp):
             val = Fraction(fn(r))
             if valp(val, p) < 0:
                 raise ValueError(f"value {val} at {r} is not a {p}-adic integer")
-            table[r] = val.numerator * pow(val.denominator, -1, mod) % mod
+            table[r] = residue(val, p ** n_prec)
         return cls(p, domain, modulus_exp, table, n_prec)
 
-    def value_at(self, x: Point) -> int:
-        mod = self.prime ** self.modulus_exp
-        x = Fraction(x)
-        key = x.numerator * pow(x.denominator, -1, mod) % mod if mod > 1 else 0
-        return self.table[key]
+    def value_at(self, x: Rat) -> int:
+        return self.table[residue(x, self.prime ** self.modulus_exp)]
 
 
 @dataclass(frozen=True)
@@ -79,63 +75,43 @@ class MahlerSeries:
 
 
 class _BasisEvaluator:
-    """Modular evaluation of the ordering basis polynomials f_k at exact points."""
+    """Modular evaluation of the ordering basis polynomials f_k at domain points.
+
+    Points and arguments are reduced modulo p^(N + max w + 1).  A difference of
+    two domain points has valuation at most max w, so every valuation and every
+    unit modulo p^N that the values depend on survives the reduction.
+    """
 
     def __init__(self, o: POrdering, n_prec: int):
         self.o = o
-        self.p = o.prime
+        self.p = p = o.prime
         self.n = n_prec
-        self._exact = any(not isinstance(a, int) for a in o.points)
-        self._dinv: List[Union[int, Fraction]] = [1]
-        self._fill_denominators()
+        self.mod = p ** (n_prec + max(o.w) + 1)
+        self.points = [residue(a, self.mod) for a in o.points]
+        small = p ** n_prec
+        self._dinv = [1]
+        for k in range(1, len(self.points)):
+            unit = 1
+            for j in range(k):
+                diff = self.points[k] - self.points[j]
+                while diff % p == 0:
+                    diff //= p
+                unit = unit * diff % small
+            self._dinv.append(pow(unit, -1, small))
 
-    def _fill_denominators(self):
-        p, mod = self.p, self.p ** self.n
-        for k in range(len(self._dinv), len(self.o.points)):
-            if self._exact:
-                d = Fraction(1)
-                for j in range(k):
-                    d *= Fraction(self.o.points[k]) - Fraction(self.o.points[j])
-                unit = d / Fraction(p) ** self.o.w[k]
-                inv = pow(unit.numerator, -1, mod) * unit.denominator % mod
-            else:
-                unit = 1
-                for j in range(k):
-                    diff = self.o.points[k] - self.o.points[j]
-                    v = 0
-                    while diff % p == 0:
-                        diff //= p
-                        v += 1
-                    unit = unit * diff % mod
-                inv = pow(unit, -1, mod)
-            self._dinv.append(inv)
-
-    def values(self, x: Point, n: int) -> List[int]:
-        """[f_k(x) mod p^N for k = 0..n]; x must be an exact domain element."""
-        self._fill_denominators()
+    def values(self, x: Rat, n: int) -> List[int]:
+        """[f_k(x) mod p^N for k = 0..n]; x must be a domain element."""
         p, big_n = self.p, self.n
-        if self._exact or not isinstance(x, int):
-            return self._values_exact(Fraction(x), n)
+        x = residue(x, self.mod)
         top = p ** (big_n + self.o.w[n] if n else big_n)
         out = [1]
         prefix = 1
         small = p ** big_n
         for k in range(1, n + 1):
-            prefix = prefix * ((x - self.o.points[k - 1]) % top) % top
+            prefix = prefix * ((x - self.points[k - 1]) % top) % top
             wk = self.o.w[k]
             num = prefix % (p ** wk * small)
             out.append(num // p ** wk * self._dinv[k] % small)
-        return out
-
-    def _values_exact(self, x: Fraction, n: int) -> List[int]:
-        p, small = self.p, self.p ** self.n
-        out = [1]
-        prefix = Fraction(1)
-        for k in range(1, n + 1):
-            prefix *= x - Fraction(self.o.points[k - 1])
-            val = prefix / Fraction(p) ** self.o.w[k]
-            r = val.numerator * pow(val.denominator, -1, small) % small
-            out.append(r * self._dinv[k] % small)
         return out
 
 
@@ -223,7 +199,7 @@ def _certify(s: MahlerSeries, phi: StepFunction, evaluator: _BasisEvaluator) -> 
     depth = max(phi.modulus_exp, domain.max_ball_exponent())
     step = p ** depth
     for c in residues(domain, depth):
-        target = phi.table[c % p ** phi.modulus_exp if phi.modulus_exp else 0]
+        target = phi.table[c % p ** phi.modulus_exp]
         diffs = []
         for i in range(top + 1):
             fvals = evaluator.values(c + step * i, top)
@@ -246,11 +222,9 @@ def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:
         out_prec = min(out_prec, x.precision - w_top)
         if out_prec < 1:
             raise PrecisionExhausted("argument has too few digits for this series")
-        point: Point = x.residue
-    else:
-        point = x if isinstance(x, int) else Fraction(x)
+        x = x.residue
     evaluator = _BasisEvaluator(s.ordering, s.precision)
-    fvals = evaluator.values(point, s.length() - 1)
+    fvals = evaluator.values(x, s.length() - 1)
     total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % p ** out_prec
     return PAdicInt(p, total, out_prec)
 
@@ -329,8 +303,7 @@ def expand_in_basis(phi: StepFunction, basis, n_prec: int = None) -> List[int]:
     for n in range(top + 1):
         row = []
         for j in range(n + 1):
-            val = basis[n](Fraction(o.points[j]))
-            r = val.numerator * pow(val.denominator, -1, small) % small
+            r = residue(basis[n](Fraction(o.points[j])), small)
             fv = evaluator.values(o.points[j], j)
             r = (r - sum(row[k] * fv[k] for k in range(j))) % small
             row.append(r)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
-from .padic import INF, PAdicInt, PAdicNumber, default_precision, embed, valp
+from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
 from .sets import CompactSet, residues
 
@@ -42,24 +42,7 @@ class POrdering:
     def point_residues(self, depth: int = None) -> List[int]:
         depth = self.precision if depth is None else depth
         mod = self.prime ** depth
-        out = []
-        for a in self.points:
-            a = Fraction(a)
-            out.append(a.numerator * pow(a.denominator, -1, mod) % mod)
-        return out
-
-    def points_padic(self) -> List[PAdicInt]:
-        return [PAdicInt(self.prime, r, self.precision)
-                for r in self.point_residues()]
-
-
-@dataclass(frozen=True)
-class LocalBasisPoly:
-    """Degree-n local basis element, in p-adic-coefficient or rational-lift form."""
-
-    degree: int
-    padic_coeffs: Optional[Tuple[PAdicNumber, ...]] = None
-    rational: Optional[RatPoly] = None
+        return [residue(a, mod) for a in self.points]
 
 
 def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
@@ -71,7 +54,7 @@ def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
     LengthExceedsSet for finite sets that are too small.
     """
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     if length < 0:
         raise ValueError("length must be >= 0")
     if s.is_finite():
@@ -85,11 +68,7 @@ def _p_ordering_finite(s: CompactSet, length: int, n_prec: int) -> POrdering:
         raise LengthExceedsSet(
             f"ordering of length {length} from a set of {len(s.finite)} elements")
     mod = p ** n_prec
-
-    def canonical(x: Fraction) -> int:
-        return x.numerator * pow(x.denominator, -1, mod) % mod
-
-    remaining = sorted(s.finite, key=lambda x: (canonical(x), x))
+    remaining = sorted(s.finite, key=lambda x: (residue(x, mod), x))
     points: List[Point] = [remaining.pop(0)]
     w = [0]
     for _ in range(length):
@@ -161,14 +140,7 @@ def basis_rational(o: POrdering, n: int) -> RatPoly:
     return product_poly(o, n).scale(1 / den)
 
 
-def local_basis(o: POrdering, n: int) -> LocalBasisPoly:
-    """Degree-n element of the Z_p-basis attached to the ordering."""
-    f = basis_rational(o, n)
-    coeffs = tuple(embed(c, o.prime, o.precision) for c in f.coeffs)
-    return LocalBasisPoly(degree=n, padic_coeffs=coeffs)
-
-
-def rational_lift(o: POrdering, n: int) -> LocalBasisPoly:
+def rational_lift(o: POrdering, n: int) -> RatPoly:
     """Monic integer lift h_n of g_n modulo p^w(n), divided by p^w(n).
 
     h_n has canonical coefficients in [0, p^w(n)) below the leading term; the
@@ -180,19 +152,18 @@ def rational_lift(o: POrdering, n: int) -> LocalBasisPoly:
     if o.precision < wn:
         raise PrecisionExhausted(f"precision {o.precision} below w({n}) = {wn}")
     if n == 0:
-        return LocalBasisPoly(degree=0, rational=RatPoly.constant(1))
+        return RatPoly.constant(1)
     g = product_poly(o, n)
     mod = p ** wn
-    h = [Fraction(c).numerator * pow(Fraction(c).denominator, -1, mod) % mod if mod > 1 else 0
-         for c in g.coeffs[:-1]]
+    h = [residue(c, mod) for c in g.coeffs[:-1]]
     h.append(1)  # g is monic; keep the lift monic
-    return LocalBasisPoly(degree=n, rational=RatPoly.make(h).scale(Fraction(1, mod)))
+    return RatPoly.make(h).scale(Fraction(1, mod))
 
 
 def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
     """Whether f maps the set into Z_p, via values at p-ordering points."""
     if n_prec is None:
-        n_prec = default_precision()
+        n_prec = DEFAULT_PRECISION
     p = s.prime
     if f.is_zero():
         return True

@@ -1,46 +1,31 @@
-"""Exact rationals and truncated p-adic numbers with explicit precision tracking.
+"""Exact rationals, p-adic valuations, and residues of Z_p cosets.
 
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
 positive denominator), so gcd/canonical-form bookkeeping comes for free.
-A ``PAdicNumber`` is a value ``p^v * unit`` whose unit part is known modulo
-``p^N``; every operation propagates the honestly-known number of digits and
-never fabricates precision.
+Truncation only ever happens modulo p^N: ``residue`` reduces a p-integral
+rational, and a ``PAdicInt`` is a coset ``residue + p^N Z_p`` that carries its
+depth N explicitly, so no digit beyond it is ever claimed.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .errors import PrecisionExhausted
 
 #: Valuation of zero (and of "zero to working precision").
 INF = math.inf
 
 Rat = Union[int, Fraction]
 
-_DEFAULT_PRECISION = 32
-
-
-def default_precision() -> int:
-    """Global working precision, overridable via the PW_PRECISION env var."""
-    env = os.environ.get("PW_PRECISION")
-    if env:
-        return max(1, int(env))
-    return _DEFAULT_PRECISION
-
-
-def set_default_precision(n: int) -> None:
-    global _DEFAULT_PRECISION
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    _DEFAULT_PRECISION = n
+#: Working precision in p-adic digits when no ``--precision`` is given.
+DEFAULT_PRECISION = 32
 
 
 def valp(x: Rat, p: int):
     """p-adic valuation of a rational; INF for zero."""
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     x = Fraction(x)
     if x == 0:
         return INF
@@ -56,162 +41,9 @@ def valp(x: Rat, p: int):
     return v
 
 
-def _inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
-
-
-@dataclass(frozen=True)
-class PAdicNumber:
-    """Element of Q_p known to finite precision.
-
-    The represented value is ``p^valuation * unit`` with the unit known
-    modulo ``p^precision``.  Zero to working precision is encoded as
-    ``valuation = INF`` with ``unit = 0``; its ``precision`` field is then the
-    absolute depth: the value is only known to lie in ``p^precision * Z_p``.
-    """
-
-    prime: int
-    valuation: Union[int, float]
-    unit: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise PrecisionExhausted(
-                f"no significant digits left (precision {self.precision})")
-        if self.is_zero():
-            if self.unit != 0:
-                raise ValueError("zero must carry unit 0")
-        elif self.unit % self.prime == 0 or not 1 <= self.unit < self.prime ** self.precision:
-            raise ValueError(f"unit {self.unit} not canonical at precision {self.precision}")
-
-    def is_zero(self) -> bool:
-        return self.valuation == INF
-
-    def abs_precision(self) -> int:
-        """Depth D such that the value is known modulo p^D."""
-        if self.is_zero():
-            return self.precision
-        return self.valuation + self.precision
-
-    @classmethod
-    def zero(cls, p: int, abs_prec: int) -> "PAdicNumber":
-        return cls(p, INF, 0, abs_prec)
-
-    def residue(self, depth: int = None) -> int:
-        """Canonical integer representative modulo p^depth (valuation >= 0 only)."""
-        if self.is_zero():
-            depth = self.precision if depth is None else depth
-            if depth > self.abs_precision():
-                raise PrecisionExhausted("residue requested beyond known depth")
-            return 0
-        if self.valuation < 0:
-            raise ValueError("residue undefined for negative valuation")
-        if depth is None:
-            depth = self.abs_precision()
-        if depth > self.abs_precision():
-            raise PrecisionExhausted("residue requested beyond known depth")
-        return (self.prime ** self.valuation * self.unit) % self.prime ** depth
-
-    def _rep(self) -> int:
-        """Integer representative of p^v * unit (shifted for negative v by caller)."""
-        return self.prime ** self.valuation * self.unit if not self.is_zero() else 0
-
-    def _check_same_prime(self, other: "PAdicNumber"):
-        if self.prime != other.prime:
-            raise ValueError("mixed primes in p-adic arithmetic")
-
-    def __add__(self, other: "PAdicNumber") -> "PAdicNumber":
-        self._check_same_prime(other)
-        p = self.prime
-        depth = min(self.abs_precision(), other.abs_precision())
-        # Work on p^-s-scaled integer representatives so negative valuations
-        # stay exact.
-        shift = 0
-        for x in (self, other):
-            if not x.is_zero() and x.valuation < 0:
-                shift = max(shift, -x.valuation)
-        mod = p ** (depth + shift)
-        if depth + shift < 1:
-            raise PrecisionExhausted("operands share no significant digits")
-        s = (self._shifted_rep(shift, mod) + other._shifted_rep(shift, mod)) % mod
-        return _from_shifted(p, s, shift, depth)
-
-    def _shifted_rep(self, shift: int, mod: int) -> int:
-        if self.is_zero():
-            return 0
-        return (self.prime ** (self.valuation + shift) * self.unit) % mod
-
-    def __neg__(self) -> "PAdicNumber":
-        if self.is_zero():
-            return self
-        p = self.prime
-        mod = p ** self.precision
-        return PAdicNumber(p, self.valuation, (-self.unit) % mod, self.precision)
-
-    def __sub__(self, other: "PAdicNumber") -> "PAdicNumber":
-        return self + (-other)
-
-    def __mul__(self, other: "PAdicNumber") -> "PAdicNumber":
-        self._check_same_prime(other)
-        p = self.prime
-        if self.is_zero() or other.is_zero():
-            a = self.precision if self.is_zero() else self.valuation
-            b = other.precision if other.is_zero() else other.valuation
-            return PAdicNumber.zero(p, max(1, a + b))
-        n = min(self.precision, other.precision)
-        unit = (self.unit * other.unit) % p ** n
-        return PAdicNumber(p, self.valuation + other.valuation, unit, n)
-
-    def __truediv__(self, other: "PAdicNumber") -> "PAdicNumber":
-        self._check_same_prime(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero-to-precision p-adic")
-        p = self.prime
-        if self.is_zero():
-            return PAdicNumber.zero(p, max(1, self.precision - other.valuation))
-        n = min(self.precision, other.precision)
-        unit = (self.unit * _inv_mod(other.unit, p ** n)) % p ** n
-        return PAdicNumber(p, self.valuation - other.valuation, unit, n)
-
-    def __str__(self):
-        if self.is_zero():
-            return f"O({self.prime}^{self.precision})"
-        return (f"{self.prime}^{self.valuation}*{self.unit} "
-                f"+ O({self.prime}^{self.abs_precision()})")
-
-
-def _from_shifted(p: int, s: int, shift: int, depth: int) -> PAdicNumber:
-    """Build a PAdicNumber from p^shift-scaled representative s mod p^(depth+shift)."""
-    if s == 0:
-        if depth < 1:
-            raise PrecisionExhausted("cancellation left no significant digits")
-        return PAdicNumber.zero(p, depth)
-    v = 0
-    while s % p == 0:
-        s //= p
-        v += 1
-    v -= shift
-    n = depth - v
-    if n < 1:
-        raise PrecisionExhausted("cancellation left no significant digits")
-    return PAdicNumber(p, v, s % p ** n, n)
-
-
-def embed(x: Rat, p: int, n: int = None) -> PAdicNumber:
-    """Embed an exact rational into Q_p with n significant digits."""
-    if n is None:
-        n = default_precision()
-    x = Fraction(x)
-    if x == 0:
-        return PAdicNumber.zero(p, n)
-    v = valp(x, p)
-    num, den = x.numerator, x.denominator
-    num //= p ** max(0, v)
-    den //= p ** max(0, -v)
-    mod = p ** n
-    unit = (num * _inv_mod(den, mod)) % mod
-    return PAdicNumber(p, v, unit, n)
+def residue(x: Rat, mod: int) -> int:
+    """Canonical residue in [0, mod) of a rational whose denominator is prime to mod."""
+    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -229,19 +61,11 @@ class PAdicInt:
     @classmethod
     def from_rational(cls, x: Rat, p: int, n: int = None) -> "PAdicInt":
         if n is None:
-            n = default_precision()
+            n = DEFAULT_PRECISION
         x = Fraction(x)
         if valp(x, p) < 0:
             raise ValueError(f"{x} is not a {p}-adic integer")
-        mod = p ** n
-        return cls(p, x.numerator * _inv_mod(x.denominator, mod) % mod, n)
-
-    def to_padic(self) -> PAdicNumber:
-        if self.residue == 0:
-            return PAdicNumber.zero(self.prime, self.precision)
-        v = valp(self.residue, self.prime)
-        n = self.precision - v
-        return PAdicNumber(self.prime, v, (self.residue // self.prime ** v) % self.prime ** n, n)
+        return cls(p, residue(x, p ** n), n)
 
     def valuation(self):
         """Valuation as far as the residue shows; INF when zero to precision."""

@@ -1,6 +1,7 @@
 """Dense univariate polynomials over Q with exact Fraction coefficients."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -126,9 +127,16 @@ class RatPoly:
 # ---------------------------------------------------------------------------
 # tiny infix grammar: terms "a/b*x^n" joined by + and -
 
+_COEFF = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_POWER = re.compile(r"x(\^[0-9]+)?")
+
 
 def parse_poly(text: str) -> RatPoly:
-    """Parse e.g. ``1/2*x^2 - 1/2*x + 3``; no floating point accepted."""
+    """Parse e.g. ``1/2*x^2 - 1/2*x + 3``.
+
+    Factors are integers, ``a/b`` fractions and powers ``x^n`` with n >= 0;
+    anything else (floats, negative exponents) raises ValueError.
+    """
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
@@ -152,17 +160,15 @@ def parse_poly(text: str) -> RatPoly:
         coeff = Fraction(1)
         power = 0
         for factor in term.split("*"):
-            if factor.startswith("x"):
-                power += 1 if factor == "x" else int(factor[2:]) if factor[1] == "^" else _bad(factor)
-            else:
+            if _POWER.fullmatch(factor):
+                power += int(factor[2:]) if factor != "x" else 1
+            elif _COEFF.fullmatch(factor):
                 coeff *= Fraction(factor)
+            else:
+                raise ValueError(f"cannot parse factor {factor!r}")
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
     n = max(coeffs) + 1
     return RatPoly.make([coeffs.get(i, Fraction(0)) for i in range(n)])
-
-
-def _bad(factor: str):
-    raise ValueError(f"cannot parse factor {factor!r}")
 
 
 def format_poly(f: RatPoly) -> str:

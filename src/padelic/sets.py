@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import EmptySet
-from .padic import PAdicNumber, Rat, valp
+from .padic import PAdicInt, Rat, residue, valp
+from .utils import is_prime
 
 #: Three-valued answer for membership queries at finite precision.
 UNKNOWN = "unknown"
@@ -66,6 +67,8 @@ class CompactSet:
 def normalize(s: CompactSet) -> CompactSet:
     """Canonical form: disjoint balls sorted by (k, center), or deduped finite list."""
     p = s.prime
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not a prime")
     if s.is_finite():
         seen, out = set(), []
         for x in s.finite:
@@ -107,7 +110,7 @@ def residues(s: CompactSet, m: int) -> set:
     p = s.prime
     mod = p ** m
     if s.is_finite():
-        return {_rat_residue(x, p, mod) for x in s.finite}
+        return {residue(x, mod) for x in s.finite}
     out = set()
     for c, k in s.balls:
         if k >= m:
@@ -118,30 +121,21 @@ def residues(s: CompactSet, m: int) -> set:
     return out
 
 
-def _rat_residue(x: Fraction, p: int, mod: int) -> int:
-    if mod == 1:
-        return 0
-    return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
 def count_mod_p(s: CompactSet) -> int:
     """Number of residues the set meets modulo p."""
     return len(residues(s, 1))
 
 
-def contains(s: CompactSet, x: PAdicNumber):
-    """Membership of a truncated p-adic number: True/False/UNKNOWN."""
+def contains(s: CompactSet, x: PAdicInt):
+    """Membership of a coset residue + p^depth Z_p: True/False/UNKNOWN."""
     if s.prime != x.prime:
         raise ValueError("mixed primes")
     p = s.prime
-    if not x.is_zero() and x.valuation < 0:
-        return False
-    depth = x.abs_precision()
-    r = x.residue(depth)
+    depth, r = x.precision, x.residue
     if s.is_finite():
         # a truncated number is never provably equal to a single point, so the
         # best decidable answers are False (no element consistent) and UNKNOWN
-        if any(_rat_residue(e, p, p ** depth) == r for e in s.finite):
+        if any(residue(e, p ** depth) == r for e in s.finite):
             return UNKNOWN
         return False
     decided = False
@@ -150,7 +144,7 @@ def contains(s: CompactSet, x: PAdicNumber):
         if k <= depth:
             if r % p ** k == c:
                 decided = True
-        elif r % p ** depth == c % p ** depth:
+        elif r == c % p ** depth:
             maybe = True  # consistent with this ball, too few digits to decide
     if decided:
         return True
@@ -180,10 +174,6 @@ class AdelicSet:
         parts = [f"default={self.default}"]
         parts.extend(str(self.tracked[p]) for p in sorted(self.tracked))
         return "; ".join(parts)
-
-
-def component(a: AdelicSet, p: int) -> CompactSet:
-    return a.component(p)
 
 
 # ---------------------------------------------------------------------------

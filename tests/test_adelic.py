@@ -82,6 +82,12 @@ def test_scale_into_z_integral_input_is_unscaled():
     assert scaled.tracked[5].balls == ((3, 2),)
 
 
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_scale_into_z_rejects_composite_key(p):
+    with pytest.raises(ValueError, match="not a prime"):
+        scale_into_z({p: [(3, 1)]})
+
+
 def test_conjugate_poly():
     f = RatPoly.make([1, 0, 1])  # x^2 + 1
     g = conjugate_poly(f, 2, 4)  # (f(2x))/4 = x^2 + 1/4

@@ -133,3 +133,37 @@ def test_out_flag(tmp_path, capsys):
                 "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["D"] == 6
+
+
+def test_non_prime_modulus_exit_code(capsys):
+    for p in (4, 1, 0):
+        code, out = run_cli(
+            ["ordering", "--set", f"p={p}; balls: 0+p^1", "--length", "3"], capsys)
+        assert code == 2
+        assert json.loads(out) == {"error": "ValueError",
+                                   "detail": f"modulus {p} is not a prime"}
+
+
+def test_scale_non_prime_key_exit_code(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"components": {"9": [[2, 1]]}}))
+    code, out = run_cli(["scale", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_expand_prime_mismatch_exit_code(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({
+        "p": 3, "set": {"p": 2, "balls": [{"center": 0, "k": 0}]},
+        "m": 1, "table": {"0": 0, "1": 1}, "N": 4}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_member_bad_poly_exit_code(capsys):
+    for text in ("x^-1+1", "0.5*x", "1e2*x"):
+        code, out = run_cli(["member", "--poly", text, "--adelic", "default=Zp"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValueError"

@@ -1,0 +1,87 @@
+"""Golden CLI corpus: exit code and stdout of fixed requests, byte for byte.
+
+Each case runs ``padelic.cli.run`` in-process.  Expected stdout lives in
+``tests/golden/<name>.out`` and expected exit codes in
+``tests/golden/exit_codes.json``; request files are under
+``tests/golden/requests/``.  After an intended output change, rewrite the
+expected files with ``PYTHONPATH=src python tests/test_cli_golden.py --write``
+and review the diff.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+REQ = str(GOLDEN / "requests")
+
+CASES = {
+    "ordering_balls_p2": ["ordering", "--set", "p=2; balls: 0+p^1, 1+p^1", "--length", "4"],
+    "ordering_balls_p5": ["ordering", "--set", "p=5; balls: 0+p^1, 3+p^2", "--length", "9"],
+    "ordering_finite_p3": ["ordering", "--set", "p=3; finite: 1, 2/5, -4, 7, 10",
+                           "--length", "4"],
+    "charideal_zp": ["charideal", "--adelic", "default=Zp", "--degree", "6"],
+    "charideal_pzp": ["charideal", "--adelic", "default=pZp", "--degree", "2"],
+    "charideal_tracked": ["charideal", "--adelic",
+                          "default=Zp; p=2; balls: 0+p^1; p=3; finite: 0, 1, 2, 5",
+                          "--degree", "3"],
+    "basis_zp": ["basis", "--adelic", "default=Zp", "--degree", "5"],
+    "basis_tracked_p2": ["basis", "--adelic", "default=Zp; p=2; balls: 0+p^1",
+                         "--degree", "5"],
+    "basis_tracked_p3_precision": ["basis", "--adelic", "default=Zp; p=3; balls: 1+p^1, 2+p^2",
+                                   "--degree", "4", "--precision", "48"],
+    "member_binomial": ["member", "--poly", "1/2*x^2-1/2*x", "--adelic", "default=Zp"],
+    "member_false": ["member", "--poly", "1/2*x", "--adelic", "default=Zp"],
+    "member_local_set": ["member", "--poly", "1/2*x", "--set", "p=2; balls: 0+p^1"],
+    "expand_zp2_squares": ["expand", "--request", f"{REQ}/expand_zp2_squares.json"],
+    "expand_balls3": ["expand", "--request", f"{REQ}/expand_balls3.json"],
+    "expand_finite5": ["expand", "--request", f"{REQ}/expand_finite5.json"],
+    "approx_single": ["approx", "--request", f"{REQ}/approx_single.json"],
+    "approx_two_primes": ["approx", "--request", f"{REQ}/approx_two_primes.json"],
+    "adelic_ordering_zp": ["adelic-ordering", "--adelic", "default=Zp", "--length", "8"],
+    "adelic_ordering_tracked": ["adelic-ordering", "--adelic",
+                                "default=Zp; p=2; balls: 1+p^2; p=3; finite: 0, 1, 3, 4, 9",
+                                "--length", "5"],
+    "scale_mixed": ["scale", "--request", f"{REQ}/scale_mixed.json"],
+    "exit2_empty_balls": ["ordering", "--set", "p=2; balls:", "--length", "3"],
+    "exit3_close_points": ["ordering", "--set", "p=2; finite: 0, 4096", "--length", "2",
+                           "--precision", "4"],
+}
+
+
+def _run(argv):
+    from padelic.cli import run
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+def _exit_codes() -> dict:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    code, out = _run(CASES[name])
+    assert code == _exit_codes()[name]
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _write() -> None:
+    codes = {}
+    for name in sorted(CASES):
+        codes[name], out = _run(CASES[name])
+        (GOLDEN / f"{name}.out").write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli_golden.py --write")
+    _write()

@@ -61,6 +61,19 @@ def test_evaluate_truncated_argument_propagates_precision():
         evaluate(s, PAdicInt(2, 1, 1))
 
 
+def test_step_function_prime_must_match_domain():
+    with pytest.raises(ValueError, match="domain"):
+        StepFunction(3, CompactSet.zp(2), 1, {0: 0, 1: 1}, 4)
+
+
+def test_evaluate_rational_argument_in_ball_domain():
+    # Fraction arguments are reduced like integers: 1/3 lies in 1 + 2Z_2
+    dom = CompactSet.from_balls(2, [(1, 1)])
+    phi = step(2, dom, 2, {1: 5, 3: 12})
+    s = expand(phi, None, 6)
+    assert evaluate(s, Fraction(1, 3)).residue == phi.value_at(Fraction(1, 3))
+
+
 def test_sampling_adaptor():
     dom = CompactSet.zp(3)
     phi = StepFunction.from_callable(lambda r: Fraction(r * r, 2), dom, 2, 5)

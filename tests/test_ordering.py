@@ -144,7 +144,7 @@ def test_product_poly_monic():
 def test_rational_lift_properties():
     o = p_ordering(CompactSet.pzp(2), 4)
     for n in range(1, 5):
-        lift = rational_lift(o, n).rational
+        lift = rational_lift(o, n)
         w = o.w[n]
         # shape: (monic integer poly with coefficients in [0, 2^w)) / 2^w
         assert lift.lc() == Fraction(1, 2 ** w)

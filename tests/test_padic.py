@@ -1,15 +1,16 @@
-"""Truncated p-adic arithmetic: valuations, units, and precision bookkeeping."""
+"""p-adic valuations, residues of rationals, and coset residues."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from padelic.padic import INF, PAdicInt, PAdicNumber, embed, valp
-from padelic.errors import PrecisionExhausted
+from padelic.padic import INF, PAdicInt, residue, valp
 
 PRIMES = [2, 3, 5, 7]
+
+rationals = st.builds(Fraction, st.integers(-500, 500), st.integers(1, 60))
 
 
 def test_valp_basics():
@@ -26,75 +27,53 @@ def test_valp_multiplicative(p, a, b):
     assert valp(Fraction(a) * Fraction(b), p) == valp(a, p) + valp(b, p)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_valp_rejects_modulus_below_two(p):
+    with pytest.raises(ValueError):
+        valp(5, p)
+
+
 def test_embed_and_residue():
-    x = embed(6, 2, 5)
-    assert (x.valuation, x.unit, x.precision) == (1, 3, 5)
-    assert x.residue(4) == 6 % 16
-    z = embed(0, 2, 4)
-    assert z.valuation == INF and z.precision == 4
+    x = PAdicInt.from_rational(6, 2, 5)
+    assert (x.residue, x.precision, x.valuation()) == (6, 5, 1)
+    z = PAdicInt.from_rational(0, 2, 4)
+    assert z.valuation() == INF and z.precision == 4
 
 
 def test_embed_rational():
     # 1/3 in Z_2: 3 * residue = 1 mod 2^6
-    x = embed(Fraction(1, 3), 2, 6)
-    assert x.valuation == 0
-    assert 3 * x.residue(6) % 64 == 1
-
-
-def test_add_cancellation_loses_digits():
-    # 1 + 3 = 4: the unit of 2^2 * u is pinned down only mod 2^2
-    c = embed(1, 2, 4) + embed(3, 2, 4)
-    assert (c.valuation, c.unit) == (2, 1)
-    assert c.precision == 2 and c.abs_precision() == 4
-
-
-def test_sub_to_zero_keeps_absolute_depth():
-    a = embed(5, 3, 6)
-    z = a - a
-    assert z.valuation == INF and z.precision == 6
-
-
-def test_no_digits_left_raises():
-    with pytest.raises(PrecisionExhausted):
-        PAdicNumber(2, 0, 1, 0)  # zero significant digits is never representable
+    x = PAdicInt.from_rational(Fraction(1, 3), 2, 6)
+    assert x.valuation() == 0
+    assert 3 * x.residue % 64 == 1
 
 
 def test_mul_div():
-    a, b = embed(6, 2, 5), embed(10, 2, 5)
-    prod = a * b
-    assert prod.valuation == 2 and prod.residue(7) == 60 % 128
-    q = embed(1, 2, 4) / embed(3, 2, 4)
-    assert q.residue(4) == 11  # 3 * 11 = 33 = 1 mod 16
-    with pytest.raises(ZeroDivisionError):
-        a / embed(0, 2, 5)
+    assert residue(Fraction(6) * 10, 2 ** 7) == 60
+    assert residue(Fraction(1, 3), 16) == 11  # 3 * 11 = 33 = 1 mod 16
+    assert residue(Fraction(-7, 3), 1) == 0
+    with pytest.raises(ValueError):
+        residue(Fraction(1, 2), 16)  # 2 is not a unit mod 16
 
 
-@given(st.sampled_from(PRIMES), st.integers(-500, 500), st.integers(-500, 500),
-       st.integers(3, 10))
+@given(st.sampled_from(PRIMES), rationals, rationals, st.integers(0, 10))
 def test_add_agrees_with_integers(p, a, b, n):
-    s = embed(a, p, n) + embed(b, p, n)
-    exact = embed(a + b, p, n)
-    assert s.valuation == exact.valuation or s.valuation == INF
-    if s.valuation is not INF:
-        depth = min(s.abs_precision(), n)
-        assert s.residue(depth) == (a + b) % p ** depth
+    assume(a.denominator % p and b.denominator % p)
+    mod = p ** n
+    assert residue(a + b, mod) == (residue(a, mod) + residue(b, mod)) % mod
+    assert residue(a - b, mod) == (residue(a, mod) - residue(b, mod)) % mod
 
 
-@given(st.sampled_from(PRIMES), st.integers(-500, 500), st.integers(-500, 500),
-       st.integers(3, 10))
+@given(st.sampled_from(PRIMES), rationals, rationals, st.integers(0, 10))
 def test_mul_agrees_with_integers(p, a, b, n):
-    m = embed(a, p, n) * embed(b, p, n)
-    if m.valuation is INF:
-        assert a * b == 0
-    else:
-        assert m.valuation == valp(a * b, p)
-        depth = min(m.abs_precision(), n + m.valuation)
-        assert m.residue(depth) == a * b % p ** depth
+    assume(a.denominator % p and b.denominator % p)
+    mod = p ** n
+    assert residue(a * b, mod) == residue(a, mod) * residue(b, mod) % mod
+    assert 0 <= residue(a, mod) < mod
 
 
 def test_padic_int_roundtrip():
     x = PAdicInt.from_rational(Fraction(7, 5), 3, 4)
     assert 5 * x.residue % 81 == 7 % 81
     assert x.valuation() == 0
-    y = x.to_padic()
-    assert isinstance(y, PAdicNumber) and y.prime == 3
+    with pytest.raises(ValueError):
+        PAdicInt.from_rational(Fraction(1, 3), 3, 4)

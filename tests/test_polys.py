@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, strategies as st
 
 from padelic.polys import RatPoly, format_poly, parse_poly, poly_from_json, poly_to_json
@@ -69,6 +71,13 @@ def test_parse_format_roundtrip(f):
 @given(polys)
 def test_json_roundtrip(f):
     assert poly_from_json(poly_to_json(f)) == f
+
+
+@pytest.mark.parametrize("text", ["x^-1+1", "x^-2", "0.5*x", "1e2*x", "x^1.5", "1/0*x",
+                                  "2x", "x^", "y", "1/2/3*x", "2**x"])
+def test_parse_rejects_outside_grammar(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
 
 
 def test_denominator():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padelic.errors import EmptySet
-from padelic.padic import embed, valp
+from padelic.padic import PAdicInt, valp
 from padelic.sets import (FULL, PZP, UNKNOWN, AdelicSet, CompactSet, contains,
                           count_mod_p, normalize, parse_adelic, parse_set,
                           residues, set_from_json, set_to_json,
                           adelic_from_json, adelic_to_json)
+from padelic.utils import is_prime
 
 
 def test_normalize_merges_contained_balls():
@@ -53,17 +54,17 @@ def test_count_mod_p():
 
 def test_contains_three_valued():
     s = CompactSet.from_balls(2, [(1, 2)])  # 1 + 4Z_2
-    assert contains(s, embed(5, 2, 6)) is True
-    assert contains(s, embed(2, 2, 6)) is False
+    assert contains(s, PAdicInt.from_rational(5, 2, 6)) is True
+    assert contains(s, PAdicInt.from_rational(2, 2, 6)) is False
     # element known only mod 2: consistent with the ball but not decided
-    assert contains(s, embed(1, 2, 1)) is UNKNOWN
+    assert contains(s, PAdicInt.from_rational(1, 2, 1)) is UNKNOWN
 
 
 def test_contains_finite():
     # equality with a single point is never decidable at finite precision
     s = CompactSet.from_finite(3, [Fraction(1, 2), 4])
-    assert contains(s, embed(Fraction(1, 2), 3, 8)) is UNKNOWN
-    assert contains(s, embed(7, 3, 8)) is False
+    assert contains(s, PAdicInt.from_rational(Fraction(1, 2), 3, 8)) is UNKNOWN
+    assert contains(s, PAdicInt.from_rational(7, 3, 8)) is False
 
 
 def test_parse_set_dsl():
@@ -71,6 +72,16 @@ def test_parse_set_dsl():
     assert s == CompactSet.zp(2)
     f = parse_set("p=3; finite: 1, 2/5, -4")
     assert f.finite == (Fraction(-4), Fraction(2, 5), Fraction(1))
+
+
+@given(st.integers(0, 59).filter(lambda n: not is_prime(n)))
+def test_composite_modulus_rejected(n):
+    with pytest.raises(ValueError, match="not a prime"):
+        parse_set(f"p={n}; balls: 0+p^1")
+    with pytest.raises(ValueError, match="not a prime"):
+        parse_set(f"p={n}; finite: 1, 2")
+    with pytest.raises(ValueError, match="not a prime"):
+        set_from_json({"p": n, "balls": [{"center": 0, "k": 1}]})
 
 
 def test_parse_adelic_dsl():
