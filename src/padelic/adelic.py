@@ -18,7 +18,7 @@ from .ordering import POrdering, basis_rational, p_ordering
 from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet
-from .utils import is_prime, primes_up_to
+from .utils import is_prime, primes_up_to, strip_primes
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,8 @@ def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
             x = o.point_value(p, k) if p in o.local else Fraction(k)
             if valp(f_p(x), p) < 0:
                 return False
-        value = g.default(Fraction(k))
-        for q in _prime_factors(value.denominator):
-            if q not in covered:
-                return False  # non-integral at an untracked prime
+        if strip_primes(g.default(Fraction(k)).denominator, covered) > 1:
+            return False  # non-integral at an untracked prime
     return True
 
 

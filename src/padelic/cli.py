@@ -176,6 +176,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if args.precision is not None and args.precision < 1:
+            raise ValueError("--precision counts p-adic digits and must be >= 1")
         result = _HANDLERS[args.verb](args)
     except DIAGNOSTIC_ERRORS as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)

@@ -29,6 +29,10 @@ class NotFinitelyGenerated(PadelicError):
     """The characteristic module at this degree is not a fractional ideal."""
 
 
+class FactorLimitExceeded(PadelicError):
+    """A denominator has a cofactor too large to factor by trial division."""
+
+
 class NoAdelicOrdering(PadelicError):
     """The set admits no adelic ordering of the requested length."""
 

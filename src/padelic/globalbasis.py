@@ -10,14 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegreeOverflow, NotFinitelyGenerated, SetTooSmall
+from .errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import local_membership, p_ordering, rational_lift
 from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p
-from .utils import primes_up_to, v_of_factorial
+from .utils import primes_up_to, strip_primes, v_of_factorial
+
+#: Largest trial divisor of ``_prime_factors``: a number whose part left after
+#: removing the factors up to this bound exceeds its square is refused.
+FACTOR_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,12 @@ def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
     """Whether f is integer-valued on the whole adelic set.
 
     Tracked primes use the p-ordering value criterion.  Untracked primes only
-    matter when they divide a coefficient denominator; there the default
-    component is Z_p (checked through binomial-basis integrality) or pZ_p
-    (checked directly).
+    matter when they divide a coefficient denominator.  A Z_p default fails
+    exactly at the primes dividing a denominator of a binomial-basis
+    coefficient (those divide the coefficient denominator too), so the tracked
+    primes are divided out of their lcm and any factor left is a failure;
+    nothing is factored.  A pZ_p default is checked directly at each untracked
+    prime of the denominator.
     """
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
@@ -177,21 +185,29 @@ def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
     for p, comp in a.tracked.items():
         if not local_membership(f, comp, n_prec):
             return False
-    den_primes = _prime_factors(f.denominator())
-    for p in den_primes - set(a.tracked):
-        if a.default == FULL:
-            if f.min_valuation_on_zp(p) < 0:
-                return False
-        else:
-            if not local_membership(f, CompactSet.pzp(p), n_prec):
-                return False
+    if a.default == FULL:
+        if strip_primes(f.denominator(), a.tracked) == 1:
+            return True
+        den = lcm(*(b.denominator for b in f.binomial_coeffs()))
+        return strip_primes(den, a.tracked) == 1
+    for p in _prime_factors(f.denominator()) - set(a.tracked):
+        if not local_membership(f, CompactSet.pzp(p), n_prec):
+            return False
     return True
 
 
 def _prime_factors(n: int) -> set:
+    """The prime factors of n by trial division up to FACTOR_BOUND.
+
+    Raises FactorLimitExceeded when what is left of n after the divisors up
+    to the bound exceeds FACTOR_BOUND^2, i.e. might be composite.
+    """
     out = set()
     d = 2
     while d * d <= n:
+        if d > FACTOR_BOUND:
+            raise FactorLimitExceeded(
+                f"cofactor {n} has no factor up to {FACTOR_BOUND}; not factored")
         if n % d == 0:
             out.add(d)
             while n % d == 0:

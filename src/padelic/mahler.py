@@ -1,12 +1,29 @@
 """Series expansion of locally constant functions in p-ordering bases.
 
 Coefficients follow the recursion c_n = phi(a_n) - sum_{k<n} c_k f_k(a_n),
-computed modulo p^N throughout.  A truncated series is *certified* by an
-exact sup-norm argument: the domain is cut into balls c + p^M' Z_p on which
-phi is constant, and on each ball the finite-difference (binomial-basis)
-coefficients of t -> phi(c) - S(c + p^M' t) all vanish modulo p^N, which is
-equivalent to the difference having valuation >= N on the whole ball.  This
-certifies agreement to p^-N at every residue of the domain at any depth.
+computed modulo p^N throughout.  A truncated series S = sum_{k<=top} c_k f_k
+is *certified* by an exact sup-norm argument.  Let d = max(m, deepest ball
+radius), so phi is constant on every class c + p^d Z_p of a ball domain.  The
+certificate asks that S(c + p^d i) = phi(c) mod p^N for i = 0..top in every
+class.  t -> S(c + p^d t) is a polynomial of degree <= top that maps Z_p
+into Z_p, so its Mahler (binomial-basis) coefficients are the forward
+differences at t = 0 of its values at t = 0..top.  Those values lie in
+phi(c) + p^N Z_p exactly when the differences of phi(c) - S(c + p^d t) all
+vanish modulo p^N: the map from values to differences is an integer
+lower-triangular matrix with ones on the diagonal, hence unimodular.  The
+difference then has valuation >= N on the whole ball, which certifies
+agreement to p^-N at every residue of the domain at any depth.  A finite
+domain is checked at its elements.
+
+The test points are evaluated through one integer polynomial.  With
+W = w(top), the residues a_j of the ordering points, g_k = prod_{j<k}(x - a_j)
+and u_k the unit part of g_k(a_k),
+
+    H(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(x)  mod p^(N + W)
+
+satisfies H(x) = p^W S(x) mod p^(N + W) at every domain point x: there
+p^w(k) divides g_k(x), so knowing u_k^-1 modulo p^N is enough.  H is built
+once per certificate; each test point is then one Horner pass.
 """
 from __future__ import annotations
 
@@ -83,12 +100,12 @@ class _BasisEvaluator:
     """
 
     def __init__(self, o: POrdering, n_prec: int):
-        self.o = o
-        self.p = p = o.prime
-        self.n = n_prec
+        p = o.prime
         self.mod = p ** (n_prec + max(o.w) + 1)
         self.points = [residue(a, self.mod) for a in o.points]
         small = p ** n_prec
+        self._pw = [p ** w for w in o.w]  # p^w_k
+        self._pw_mod = [pw * small for pw in self._pw]  # p^(w_k + N); p^N at k = 0
         self._dinv = [1]
         for k in range(1, len(self.points)):
             unit = 1
@@ -101,17 +118,14 @@ class _BasisEvaluator:
 
     def values(self, x: Rat, n: int) -> List[int]:
         """[f_k(x) mod p^N for k = 0..n]; x must be a domain element."""
-        p, big_n = self.p, self.n
         x = residue(x, self.mod)
-        top = p ** (big_n + self.o.w[n] if n else big_n)
+        pw, pw_mod, dinv, points = self._pw, self._pw_mod, self._dinv, self.points
+        small, top = pw_mod[0], pw_mod[n]
         out = [1]
         prefix = 1
-        small = p ** big_n
         for k in range(1, n + 1):
-            prefix = prefix * ((x - self.points[k - 1]) % top) % top
-            wk = self.o.w[k]
-            num = prefix % (p ** wk * small)
-            out.append(num // p ** wk * self._dinv[k] % small)
+            prefix = prefix * ((x - points[k - 1]) % top) % top
+            out.append(prefix % pw_mod[k] // pw[k] * dinv[k] % small)
         return out
 
 
@@ -126,7 +140,7 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
     """Certified expansion of a step function in the ordering basis of its domain.
 
     Expansion continues until p^modulus_exp consecutive coefficients vanish
-    mod p^N and the exact ball-wise certificate passes; CertificateFailed is
+    mod p^N and the exact pointwise certificate passes; CertificateFailed is
     raised if the length cap is hit first.
     """
     if n_prec is None:
@@ -185,32 +199,48 @@ def _ensure_ordering(domain: CompactSet, o: Optional[POrdering], length: int,
 
 
 def _certify(s: MahlerSeries, phi: StepFunction, evaluator: _BasisEvaluator) -> bool:
-    """Exact check that the partial sum matches phi to p^-N everywhere."""
-    p, small = phi.prime, phi.prime ** s.precision
+    """Exact check that the partial sum matches phi to p^-N everywhere.
+
+    The partial sum is folded into the integer polynomial H of the module
+    docstring once; each test point then costs one Horner pass modulo
+    p^(N + W).
+    """
     top = s.length() - 1
+    pw = evaluator._pw
+    p_w, mod = pw[top], evaluator._pw_mod[top]
+    # H = e_0 + (x - a_0)(e_1 + (x - a_1)(e_2 + ...)) with e_k = c_k u_k^-1 p^(W - w_k),
+    # multiplied out from the inside into coefficients h, lowest degree first
+    h: List[int] = []
+    for k in range(top, -1, -1):
+        a = evaluator.points[k]
+        h = [0] + h  # h <- h * (x - a) + e_k
+        for i in range(len(h) - 1):
+            h[i] = (h[i] - a * h[i + 1]) % mod
+        h[0] = (h[0] + s.coeffs[k] * evaluator._dinv[k] * (p_w // pw[k])) % mod
+    h.reverse()
+    for x in _test_points(phi, top):
+        r, acc = residue(x, mod), 0
+        for c in h:
+            acc = (acc * r + c) % mod
+        if (acc - p_w * phi.value_at(x)) % mod:
+            return False
+    return True
+
+
+def _test_points(phi: StepFunction, top: int):
+    """The elements of a finite domain; on a ball domain the points c + p^d i,
+    0 <= i <= top, of every class c mod p^d, d = max(m, deepest ball radius).
+
+    The classes of a ball c0 + p^k Z_p are c0 + p^k t, t < p^(d-k), so its test
+    points form the single progression c0 + p^k i, i < p^(d-k) (top + 1).
+    """
     domain = phi.domain
     if domain.is_finite():
-        for e in domain.finite:
-            fvals = evaluator.values(e, top)
-            total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % small
-            if (total - phi.value_at(e)) % small:
-                return False
-        return True
+        return domain.finite
+    p = phi.prime
     depth = max(phi.modulus_exp, domain.max_ball_exponent())
-    step = p ** depth
-    for c in residues(domain, depth):
-        target = phi.table[c % p ** phi.modulus_exp]
-        diffs = []
-        for i in range(top + 1):
-            fvals = evaluator.values(c + step * i, top)
-            total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals))
-            diffs.append((target - total) % small)
-        # finite-difference table: all binomial-basis coefficients must vanish
-        for _ in range(top + 1):
-            if diffs[0] % small:
-                return False
-            diffs = [(b - a) % small for a, b in zip(diffs, diffs[1:])]
-    return True
+    return (c + p ** k * i for c, k in domain.balls
+            for i in range(p ** (depth - k) * (top + 1)))
 
 
 def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:

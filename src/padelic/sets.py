@@ -67,8 +67,8 @@ class CompactSet:
 def normalize(s: CompactSet) -> CompactSet:
     """Canonical form: disjoint balls sorted by (k, center), or deduped finite list."""
     p = s.prime
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not a prime")
+    if not _is_int(p) or not is_prime(p):
+        raise ValueError(f"modulus {p!r} is not a prime")
     if s.is_finite():
         seen, out = set(), []
         for x in s.finite:
@@ -82,6 +82,9 @@ def normalize(s: CompactSet) -> CompactSet:
         return CompactSet(p, finite=tuple(sorted(out)))
     if not s.balls:
         raise EmptySet("ball union with no balls")
+    for c, k in s.balls:
+        if not (_is_int(c) and _is_int(k)) or k < 0:
+            raise ValueError(f"ball {c!r}+p^{k!r} needs an integer centre and radius >= 0")
     balls = {(c % p ** k, k) for c, k in s.balls}
     changed = True
     while changed:
@@ -101,6 +104,10 @@ def normalize(s: CompactSet) -> CompactSet:
                 balls = (balls - family) | {parent}
                 changed = True
     return CompactSet(p, balls=tuple(sorted(balls, key=lambda b: (b[1], b[0]))))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def residues(s: CompactSet, m: int) -> set:
@@ -233,8 +240,13 @@ def set_to_json(s: CompactSet) -> dict:
 
 def set_from_json(obj: dict) -> CompactSet:
     if "finite" in obj:
-        return CompactSet.from_finite(
-            obj["p"], [Fraction(e["num"], e["den"]) for e in obj["finite"]])
+        elems = []
+        for e in obj["finite"]:
+            num, den = e["num"], e["den"]
+            if not (_is_int(num) and _is_int(den)) or den == 0:
+                raise ValueError(f"element {num!r}/{den!r} is not a rational number")
+            elems.append(Fraction(num, den))
+        return CompactSet.from_finite(obj["p"], elems)
     return CompactSet.from_balls(obj["p"], [(b["center"], b["k"]) for b in obj["balls"]])
 
 

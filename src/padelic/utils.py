@@ -25,6 +25,14 @@ def v_of_factorial(n: int, p: int) -> int:
     return out
 
 
+def strip_primes(n: int, primes) -> int:
+    """n with every factor of the given primes divided out."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -1,16 +1,22 @@
 """Adelic orderings, adelic polynomials, membership, and the scaling reduction."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padelic.adelic import (adelic_basis, adelic_membership, adelic_ordering,
-                            conjugate_poly, poly_as_adelic, scale_into_z)
+from padelic.adelic import (AdelicPoly, adelic_basis, adelic_membership,
+                            adelic_ordering, conjugate_poly, poly_as_adelic,
+                            scale_into_z)
 from padelic.errors import NoAdelicOrdering
 from padelic.globalbasis import regular_basis
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet
+
+from oracles import adelic_membership_by_factoring
+from test_globalbasis import random_binomial_poly
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -94,3 +100,17 @@ def test_conjugate_poly():
     assert g == RatPoly.make([Fraction(1, 4), 0, 1])
     x = Fraction(3)
     assert g(x) == f(2 * x) / 4
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_adelic_membership_matches_factoring_oracle(seed):
+    rng = random.Random(seed)
+    a = AdelicSet(tracked={p: CompactSet.zp(p) for p in rng.sample([2, 3], rng.randrange(3))},
+                  default=FULL)
+    f = random_binomial_poly(rng, [2, 3, 5], 10 ** 6)
+    g = AdelicPoly(degree=max(f.degree(), 0),
+                   tracked={p: f for p in rng.sample([2, 3, 5, 7], rng.randrange(5))},
+                   default=f)
+    o = adelic_ordering(a, g.degree + 1)
+    assert adelic_membership(g, o) == adelic_membership_by_factoring(g, o)

@@ -167,3 +167,47 @@ def test_member_bad_poly_exit_code(capsys):
         code, out = run_cli(["member", "--poly", text, "--adelic", "default=Zp"], capsys)
         assert code == 2
         assert json.loads(out)["error"] == "ValueError"
+
+
+BIG_PRIME = 10 ** 42 + 63  # a 43-digit prime: trial division cannot reach it
+
+
+def test_member_huge_denominator_answers_quickly(capsys):
+    import time
+    start = time.perf_counter()
+    code, out = run_cli(["member", "--poly", f"1/{BIG_PRIME}*x", "--adelic", "default=Zp"],
+                        capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["member"] is False
+
+
+def test_member_pzp_default_refuses_unfactorable_denominator(capsys):
+    code, out = run_cli(["member", "--poly", f"1/{BIG_PRIME}*x", "--adelic", "default=pZp"],
+                        capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "FactorLimitExceeded"
+
+
+def test_negative_ball_radius_exit_code(capsys):
+    code, out = run_cli(["ordering", "--set", "p=2; balls: 0+p^-1", "--length", "3"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_json_set_with_string_prime_exit_code(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({
+        "p": 2, "set": {"p": "2", "balls": [{"center": 0, "k": 0}]},
+        "m": 1, "table": {"0": 0, "1": 1}, "N": 4}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_precision_below_one_exit_code(capsys):
+    for precision in ("0", "-3"):
+        code, out = run_cli(["ordering", "--set", "p=2; balls: 0+p^1", "--length", "3",
+                             "--precision", precision], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValueError"

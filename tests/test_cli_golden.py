@@ -41,6 +41,9 @@ CASES = {
     "expand_zp2_squares": ["expand", "--request", f"{REQ}/expand_zp2_squares.json"],
     "expand_balls3": ["expand", "--request", f"{REQ}/expand_balls3.json"],
     "expand_finite5": ["expand", "--request", f"{REQ}/expand_finite5.json"],
+    "expand_zp3_m3": ["expand", "--request", f"{REQ}/expand_zp3_m3.json"],
+    "expand_balls5": ["expand", "--request", f"{REQ}/expand_balls5.json"],
+    "expand_zp2_m4": ["expand", "--request", f"{REQ}/expand_zp2_m4.json"],
     "approx_single": ["approx", "--request", f"{REQ}/approx_single.json"],
     "approx_two_primes": ["approx", "--request", f"{REQ}/approx_two_primes.json"],
     "adelic_ordering_zp": ["adelic-ordering", "--adelic", "default=Zp", "--length", "8"],

@@ -2,18 +2,21 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padelic.errors import DegreeOverflow, NotFinitelyGenerated
-from padelic.globalbasis import (char_ideal, crt_combine, global_membership,
-                                 regular_basis)
+from padelic.errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated
+from padelic.globalbasis import (FACTOR_BOUND, _prime_factors, char_ideal, crt_combine,
+                                 global_membership, regular_basis)
 from padelic.ordering import local_membership
 from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet
+
+from oracles import membership_by_factoring
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -112,3 +115,39 @@ def test_global_membership():
     # x^2/2 integer-valued when the 2-component is 2Z_2
     a = AdelicSet(tracked={2: CompactSet.pzp(2)}, default=FULL)
     assert global_membership(RatPoly.make([0, 0, Fraction(1, 2)]), a)
+
+
+def random_binomial_poly(rng: random.Random, tracked, max_den: int) -> RatPoly:
+    """sum b_k binom(x, k) whose denominators are random, tracked-only or 1."""
+    f = RatPoly.zero()
+    for k in range(rng.randrange(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            den = rng.randrange(1, max_den)
+        elif kind == 1:
+            den = math.prod(p ** rng.randrange(3) for p in tracked)
+        else:
+            den = 1
+        f = f + RatPoly.binomial(k).scale(Fraction(rng.randrange(-50, 51), den))
+    return f
+
+
+@given(st.sampled_from([FULL, PZP]), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_global_membership_matches_factoring_oracle(default, seed):
+    rng = random.Random(seed)
+    tracked = {p: rng.choice([CompactSet.zp(p), CompactSet.pzp(p),
+                              CompactSet.from_balls(p, [(1, 1)])])
+               for p in rng.sample([2, 3, 5, 7], rng.randrange(0, 4))}
+    a = AdelicSet(tracked=tracked, default=default)
+    f = random_binomial_poly(rng, tracked, 10 ** 6 if default == FULL else 10 ** 4)
+    assert global_membership(f, a) == membership_by_factoring(f, a)
+
+
+def test_prime_factors_refuses_beyond_the_bound():
+    big = 10 ** 42 + 63  # prime
+    with pytest.raises(FactorLimitExceeded):
+        _prime_factors(big)
+    q = 1099511627689  # a prime just below 2^40 factors within the bound
+    assert q < FACTOR_BOUND ** 2
+    assert _prime_factors(6 * q) == {2, 3, q}

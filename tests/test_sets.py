@@ -126,3 +126,21 @@ def test_residues_refine_consistently(s, m):
     deep = residues(s, m + 1)
     shallow = residues(s, m)
     assert {r % p ** m for r in deep} == shallow
+
+
+@pytest.mark.parametrize("balls", [[(0, -1)], [(0, 1.5)], [("0", 1)], [(0, True)]])
+def test_ball_fields_must_be_integers_with_radius_at_least_zero(balls):
+    with pytest.raises(ValueError):
+        CompactSet.from_balls(2, balls)
+
+
+@pytest.mark.parametrize("obj", [
+    {"p": "2", "balls": [{"center": 0, "k": 0}]},
+    {"p": 2.0, "balls": [{"center": 0, "k": 0}]},
+    {"p": 2, "balls": [{"center": "1", "k": 1}]},
+    {"p": 3, "finite": [{"num": "1", "den": 2}]},
+    {"p": 3, "finite": [{"num": 1, "den": 0}]},
+])
+def test_set_from_json_rejects_non_integer_fields(obj):
+    with pytest.raises(ValueError):
+        set_from_json(obj)
