@@ -4,7 +4,8 @@ The basis construction follows the local-to-global recipe: for each degree n
 collect the finitely many primes whose component meets at most n residues
 modulo p, CRT-combine the local rational lifts modulo p, then apply a Bezout
 adjustment so the leading coefficient is exactly 1 over the factorial-like
-denominator.
+denominator.  One ``LocalLifts`` per prime serves every degree of a call: the
+greedy search and the product polynomial are extended, never rebuilt.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
-from .ordering import local_membership, p_ordering, rational_lift
+from .ordering import LocalLifts, local_membership
 from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p
@@ -53,7 +54,19 @@ class BasisFamily:
     polys: Tuple[RatPoly, ...]
 
 
-def _component_w(a: AdelicSet, p: int, n: int, n_prec: int) -> int:
+class _Locals(dict):
+    """prime -> the LocalLifts of the set's component there, made on first use."""
+
+    def __init__(self, a: AdelicSet, n_prec: int):
+        super().__init__()
+        self.set, self.precision = a, n_prec
+
+    def __missing__(self, p: int) -> LocalLifts:
+        out = self[p] = LocalLifts(self.set.component(p), self.precision)
+        return out
+
+
+def _component_w(a: AdelicSet, p: int, n: int, local: _Locals) -> int:
     """w_p(n) of the component at p; Legendre's formula for an untracked Z_p."""
     if p not in a.tracked and a.default == FULL:
         return v_of_factorial(n, p)
@@ -61,7 +74,7 @@ def _component_w(a: AdelicSet, p: int, n: int, n_prec: int) -> int:
     if comp.is_finite() and len(comp.finite) <= n:
         raise SetTooSmall(
             f"component at {p} has {len(comp.finite)} elements, degree {n} needs more")
-    return p_ordering(comp, n, n_prec).w[n]
+    return local[p].w(n)
 
 
 def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:
@@ -70,6 +83,10 @@ def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:
         n_prec = DEFAULT_PRECISION
     if n < 0:
         raise ValueError("degree must be >= 0")
+    return _char_ideal(a, n, _Locals(a, n_prec))
+
+
+def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
     if a.default == PZP and n >= 1:
         return CharIdeal(degree=n, witness=(
             "every untracked prime contributes w_p(%d) >= 1 on pZ_p" % n))
@@ -78,7 +95,7 @@ def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:
         primes.update(primes_up_to(n))
     factored = {}
     for p in sorted(primes):
-        w = _component_w(a, p, n, n_prec)
+        w = _component_w(a, p, n, local)
         if w:
             factored[p] = w
     return CharIdeal(degree=n, factored=factored)
@@ -142,17 +159,17 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
     """Z-basis with one polynomial of each degree up to max_degree."""
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
+    local = _Locals(a, n_prec)
     polys: List[RatPoly] = []
     for n in range(max_degree + 1):
-        ideal = char_ideal(a, n, n_prec)
+        ideal = _char_ideal(a, n, local)
         if not ideal.is_fractional():
             raise NotFinitelyGenerated(ideal.witness)
         p_set = basis_prime_set(a, n)
         if not p_set:
             polys.append(RatPoly.x_power(n))
             continue
-        parts = [(p, 1, rational_lift(p_ordering(a.component(p), n, n_prec), n))
-                 for p in p_set]
+        parts = [(p, 1, local[p].lift(n)) for p in p_set]
         f_n = crt_combine(parts, n)
         assert f_n.degree() == n  # lifts are monic/p^w, so the top residue is a unit
         # Bezout step: move the leading coefficient to exactly 1/b (the pair

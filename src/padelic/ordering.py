@@ -10,13 +10,20 @@ exact class, so the chosen step valuation is provably the true minimum.
 Chosen points are exact set elements: canonical integer residues for ball
 sets (membership there only depends on finitely many digits), exact rationals
 for finite sets.  All downstream evaluations are therefore exact.
+
+The greedy search is a stream of steps (a_n, w(n)), and step n never depends
+on how many steps follow, so every prefix of an ordering is itself the
+ordering of that length.  ``LocalLifts`` keeps one stream per set together
+with the running product g_n = prod_{k<n} (x - a_k) modulo p^N, so a caller
+that needs the lifts of every degree runs the search once.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
 from .padic import DEFAULT_PRECISION, residue, valp
@@ -24,6 +31,7 @@ from .polys import RatPoly
 from .sets import CompactSet, residues
 
 Point = Union[int, Fraction]
+Step = Tuple[Point, int]  # (a_n, w(n))
 
 
 @dataclass(frozen=True)
@@ -57,43 +65,53 @@ def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
         n_prec = DEFAULT_PRECISION
     if length < 0:
         raise ValueError("length must be >= 0")
-    if s.is_finite():
-        return _p_ordering_finite(s, length, n_prec)
-    return _p_ordering_balls(s, length, n_prec)
-
-
-def _p_ordering_finite(s: CompactSet, length: int, n_prec: int) -> POrdering:
-    p = s.prime
-    if length >= len(s.finite):
+    if s.is_finite() and length >= len(s.finite):
         raise LengthExceedsSet(
             f"ordering of length {length} from a set of {len(s.finite)} elements")
+    steps = list(islice(_ordering_steps(s, n_prec), length + 1))
+    return POrdering(s.prime, s, tuple(a for a, _ in steps), tuple(v for _, v in steps),
+                     n_prec)
+
+
+
+def _ordering_steps(s: CompactSet, n_prec: int) -> Iterator[Step]:
+    """The greedy steps (a_n, w(n)) of s, n = 0, 1, ...; a finite set's run out."""
+    if s.is_finite():
+        return _p_ordering_finite(s, n_prec)
+    return _p_ordering_balls(s, n_prec)
+
+
+def _p_ordering_finite(s: CompactSet, n_prec: int) -> Iterator[Step]:
+    p = s.prime
     mod = p ** n_prec
     remaining = sorted(s.finite, key=lambda x: (residue(x, mod), x))
-    points: List[Point] = [remaining.pop(0)]
-    w = [0]
-    for _ in range(length):
-        best = None
-        for i, y in enumerate(remaining):
-            val = sum(valp(y - a, p) for a in points)
-            if best is None or val < best[0]:
-                best = (val, i)
-        val, i = best
+    a = remaining.pop(0)
+    yield a, 0
+    # sums[i] = sum of valp(remaining[i] - a_k) over the points chosen so far
+    sums = [0] * len(remaining)
+    while remaining:
+        sums = [v + valp(y - a, p) for v, y in zip(sums, remaining)]
+        val = min(sums)
         if val >= n_prec:
             raise PrecisionExhausted(f"step valuation {val} >= precision {n_prec}")
-        points.append(remaining.pop(i))
-        w.append(val)
-    return POrdering(p, s, tuple(points), tuple(w), n_prec)
+        i = sums.index(val)
+        a = remaining.pop(i)
+        del sums[i]
+        yield a, val
 
 
-def _p_ordering_balls(s: CompactSet, length: int, n_prec: int) -> POrdering:
+def _p_ordering_balls(s: CompactSet, n_prec: int) -> Iterator[Step]:
     p = s.prime
     start_depth = s.max_ball_exponent() + 1
     points: List[Point] = [min(residues(s, start_depth))]
-    w = [0]
+    yield points[0], 0
     # counters[j-1] counts previous points modulo p^j; the capped factor sum of
     # a candidate r at depth d is sum_j counters[j-1][r mod p^j].
     counters: List[Counter] = []
-    for n in range(1, length + 1):
+    candidates: List[List[int]] = []  # candidates[d-1]: sorted residues of s mod p^d
+    n = 0
+    while True:
+        n += 1
         d = start_depth
         while True:
             if d > n_prec:
@@ -102,10 +120,12 @@ def _p_ordering_balls(s: CompactSet, length: int, n_prec: int) -> POrdering:
             while len(counters) < d:
                 j = len(counters) + 1
                 counters.append(Counter(a % p ** j for a in points))
+            while len(candidates) < d:
+                candidates.append(sorted(residues(s, len(candidates) + 1)))
             mods = [p ** (j + 1) for j in range(d)]
             best_val, best_r = None, None
             exact = False
-            for r in sorted(residues(s, d)):
+            for r in candidates[d - 1]:
                 val = sum(counters[j][r % mods[j]] for j in range(d))
                 if best_val is None or val < best_val:
                     best_val, best_r = val, r
@@ -116,10 +136,9 @@ def _p_ordering_balls(s: CompactSet, length: int, n_prec: int) -> POrdering:
                 break
             d += 1
         points.append(best_r)
-        w.append(best_val)
         for j, counter in enumerate(counters):
             counter[best_r % p ** (j + 1)] += 1
-    return POrdering(p, s, tuple(points), tuple(w), n_prec)
+        yield best_r, best_val
 
 
 def product_poly(o: POrdering, n: int) -> RatPoly:
@@ -148,16 +167,59 @@ def rational_lift(o: POrdering, n: int) -> RatPoly:
     """
     if n > o.length():
         raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
-    p, wn = o.prime, o.w[n]
-    if o.precision < wn:
-        raise PrecisionExhausted(f"precision {o.precision} below w({n}) = {wn}")
-    if n == 0:
-        return RatPoly.constant(1)
-    g = product_poly(o, n)
+    g, mod = [1], o.prime ** o.precision
+    for a in o.points[:n]:
+        g = _times_linear(g, residue(a, mod), mod)
+    return _lift(g, o.prime, n, o.w[n], o.precision)
+
+
+def _times_linear(g: List[int], a: int, mod: int) -> List[int]:
+    """(x - a) * g modulo mod; coefficients lowest degree first."""
+    out = [-a * g[0] % mod]
+    out.extend((c - a * d) % mod for c, d in zip(g, g[1:]))
+    out.append(g[-1])
+    return out
+
+
+def _lift(g: List[int], p: int, n: int, wn: int, precision: int) -> RatPoly:
+    """h_n / p^w(n) from the monic g_n modulo p^precision, lowest degree first."""
+    if precision < wn:
+        raise PrecisionExhausted(f"precision {precision} below w({n}) = {wn}")
     mod = p ** wn
-    h = [residue(c, mod) for c in g.coeffs[:-1]]
+    h = [c % mod for c in g[:-1]]
     h.append(1)  # g is monic; keep the lift monic
     return RatPoly.make(h).scale(Fraction(1, mod))
+
+
+class LocalLifts:
+    """One greedy p-ordering of a set, pulled a step at a time, and its lifts.
+
+    ``w(n)`` runs the search only as far as step n, so an error of step n
+    surfaces when degree n is first asked for.  ``lift(n)`` is
+    ``rational_lift`` of the ordering at degree n, read from the product
+    g_n modulo p^N that is advanced by one linear factor per degree.
+    """
+
+    def __init__(self, s: CompactSet, n_prec: int):
+        self.prime, self.precision = s.prime, n_prec
+        self._steps = _ordering_steps(s, n_prec)
+        self._mod = s.prime ** n_prec
+        self._points: List[Point] = []
+        self._w: List[int] = []
+        self._g = [1]  # g_k modulo p^N, k = number of factors taken so far
+
+    def w(self, n: int) -> int:
+        while len(self._w) <= n:
+            a, v = next(self._steps)
+            self._points.append(a)
+            self._w.append(v)
+        return self._w[n]
+
+    def lift(self, n: int) -> RatPoly:
+        wn = self.w(n)
+        for a in self._points[len(self._g) - 1:n]:
+            self._g = _times_linear(self._g, residue(a, self._mod), self._mod)
+        return _lift(self._g, self.prime, n, wn, self.precision)
 
 
 def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:

@@ -33,12 +33,36 @@ def strip_primes(n: int, primes) -> int:
     return n
 
 
+#: Miller-Rabin with the prime bases up to 41 is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 86 (2017)).
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Raises ValueError for n >= MILLER_RABIN_BOUND without a factor up to 41,
+    where these bases no longer decide primality.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality of {n} is not decided at or above {MILLER_RABIN_BOUND}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True

@@ -8,11 +8,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
+from padelic.errors import NotFinitelyGenerated, PrecisionExhausted, SetTooSmall
+from padelic.globalbasis import BasisFamily, _xgcd, basis_prime_set, crt_combine
 from padelic.mahler import MahlerSeries, StepFunction, _BasisEvaluator
-from padelic.ordering import local_membership
-from padelic.padic import valp
+from padelic.ordering import POrdering, local_membership, p_ordering, product_poly
+from padelic.padic import DEFAULT_PRECISION, residue, valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
+from padelic.utils import primes_up_to, v_of_factorial
 
 
 def certify_by_differences(s: MahlerSeries, phi: StepFunction,
@@ -80,3 +83,69 @@ def adelic_membership_by_factoring(g: AdelicPoly, o: AdelicOrdering) -> bool:
         if not trial_division_primes(g.default(Fraction(k)).denominator) <= covered:
             return False
     return True
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def rational_lift_by_fractions(o: POrdering, n: int) -> RatPoly:
+    """h_n / p^w(n) from the exact rational product g_n."""
+    p, wn = o.prime, o.w[n]
+    if o.precision < wn:
+        raise PrecisionExhausted(f"precision {o.precision} below w({n}) = {wn}")
+    if n == 0:
+        return RatPoly.constant(1)
+    g = product_poly(o, n)
+    mod = p ** wn
+    h = [residue(c, mod) for c in g.coeffs[:-1]]
+    h.append(1)
+    return RatPoly.make(h).scale(Fraction(1, mod))
+
+
+def regular_basis_per_degree(a: AdelicSet, max_degree: int,
+                             n_prec: int = None) -> BasisFamily:
+    """Reference: every degree orders every component afresh and lifts g_n
+    from Fractions, checking the characteristic ideal first."""
+    if n_prec is None:
+        n_prec = DEFAULT_PRECISION
+    polys = []
+    for n in range(max_degree + 1):
+        if a.default == PZP and n >= 1:
+            raise NotFinitelyGenerated(
+                "every untracked prime contributes w_p(%d) >= 1 on pZ_p" % n)
+        primes = set(a.tracked) | set(primes_up_to(n) if a.default == FULL else ())
+        denominator = 1
+        for p in sorted(primes):
+            if p not in a.tracked:
+                w = v_of_factorial(n, p)
+            else:
+                comp = a.tracked[p]
+                if comp.is_finite() and len(comp.finite) <= n:
+                    raise SetTooSmall(f"component at {p} has {len(comp.finite)} elements, "
+                                      f"degree {n} needs more")
+                w = p_ordering(comp, n, n_prec).w[n]
+            denominator *= p ** w
+        p_set = basis_prime_set(a, n)
+        if not p_set:
+            polys.append(RatPoly.x_power(n))
+            continue
+        parts = [(p, 1, rational_lift_by_fractions(p_ordering(a.component(p), n, n_prec), n))
+                 for p in p_set]
+        f_n = crt_combine(parts, n)
+        c = f_n.lc()
+        g, u, v = _xgcd(c.numerator, c.denominator)
+        assert g == 1
+        g_n = f_n.scale(u) + RatPoly.x_power(n, v)
+        assert g_n.lc() == Fraction(1, c.denominator) and c.denominator == denominator
+        polys.append(g_n)
+    return BasisFamily(set=a, polys=tuple(polys))

@@ -211,3 +211,28 @@ def test_precision_below_one_exit_code(capsys):
                              "--precision", precision], capsys)
         assert code == 2
         assert json.loads(out)["error"] == "ValueError"
+
+
+def test_finite_expand_with_deep_step_valuation(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": 2, "m": 1, "N": 4, "table": {"0": 1, "1": 3},
+                               "set": {"p": 2, "finite": [{"num": a, "den": 1}
+                                                          for a in (0, 4096, 1)]}}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["coeffs"] == [1, 2, 0] and obj["certified"] is True
+
+
+def test_large_prime_modulus_is_decided_quickly(capsys):
+    import time
+    start = time.perf_counter()
+    code, out = run_cli(["ordering", "--set",
+                         "p=2305843009213693951; finite: 0, 1, 5, 2305843009213693951",
+                         "--length", "4"], capsys)
+    assert code == 0 and json.loads(out)["w"] == [0, 0, 0, 1]
+    code, out = run_cli(["ordering", "--set", f"p={BIG_PRIME}; balls: 0+p^1",
+                         "--length", "2"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "3317044064679887385961981" in json.loads(out)["detail"]

@@ -35,6 +35,18 @@ CASES = {
                          "--degree", "5"],
     "basis_tracked_p3_precision": ["basis", "--adelic", "default=Zp; p=3; balls: 1+p^1, 2+p^2",
                                    "--degree", "4", "--precision", "48"],
+    "basis_zp_degree20": ["basis", "--adelic", "default=Zp", "--degree", "20"],
+    "basis_deep_p2_w27": ["basis", "--adelic", "default=Zp; p=2; balls: 0+p^1, 3+p^3",
+                          "--degree", "28"],
+    "basis_deep_p2_step_undecided": ["basis", "--adelic", "default=Zp; p=2; balls: 0+p^1, 3+p^3",
+                                     "--degree", "12", "--precision", "3"],
+    "basis_p3_finite_too_small": ["basis", "--adelic",
+                                  "default=Zp; p=2; balls: 0+p^1, 3+p^3; p=3; finite: 0, 1, 2, 5",
+                                  "--degree", "24"],
+    "basis_first_error_from_p2": ["basis", "--adelic",
+                                  "default=Zp; p=2; balls: 0+p^1, 3+p^3; p=3; finite: "
+                                  + ", ".join(str(i) for i in range(30)),
+                                  "--degree", "30"],
     "member_binomial": ["member", "--poly", "1/2*x^2-1/2*x", "--adelic", "default=Zp"],
     "member_false": ["member", "--poly", "1/2*x", "--adelic", "default=Zp"],
     "member_local_set": ["member", "--poly", "1/2*x", "--set", "p=2; balls: 0+p^1"],

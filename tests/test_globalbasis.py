@@ -8,15 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padelic.errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated
+import padelic.ordering
+from padelic.errors import (DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated,
+                            PadelicError)
 from padelic.globalbasis import (FACTOR_BOUND, _prime_factors, char_ideal, crt_combine,
                                  global_membership, regular_basis)
 from padelic.ordering import local_membership
 from padelic.padic import valp
 from padelic.polys import RatPoly
-from padelic.sets import FULL, PZP, AdelicSet, CompactSet
+from padelic.sets import FULL, PZP, AdelicSet, CompactSet, parse_adelic
 
-from oracles import membership_by_factoring
+from oracles import membership_by_factoring, regular_basis_per_degree
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -151,3 +153,49 @@ def test_prime_factors_refuses_beyond_the_bound():
     q = 1099511627689  # a prime just below 2^40 factors within the bound
     assert q < FACTOR_BOUND ** 2
     assert _prime_factors(6 * q) == {2, 3, q}
+
+
+@st.composite
+def tracked_components(draw):
+    """Z-hat with 1-3 tracked ball unions or finite sets at primes up to 7."""
+    tracked = {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3,
+                           unique=True)):
+        if draw(st.booleans()):
+            balls = draw(st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 3)),
+                                  min_size=1, max_size=3))
+            tracked[p] = CompactSet.from_balls(p, [(c % p ** k, k) for c, k in balls])
+        else:
+            elems = draw(st.lists(
+                st.tuples(st.integers(-300, 300), st.integers(1, 9).filter(lambda d: d % p)),
+                min_size=1, max_size=12))
+            tracked[p] = CompactSet.from_finite(p, [Fraction(a, d) for a, d in elems])
+    return AdelicSet(tracked=tracked, default=FULL)
+
+
+def _outcome(build):
+    try:
+        return build().polys
+    except PadelicError as exc:
+        return type(exc), str(exc)
+
+
+@given(tracked_components(), st.integers(0, 14), st.sampled_from([3, 8, 32]))
+@settings(max_examples=60, deadline=None)
+def test_regular_basis_matches_per_degree_oracle(a, degree, n_prec):
+    # the same polynomials, or the same error from the same degree and prime
+    assert _outcome(lambda: regular_basis(a, degree, n_prec)) == _outcome(
+        lambda: regular_basis_per_degree(a, degree, n_prec))
+
+
+def test_regular_basis_runs_one_search_per_prime(monkeypatch):
+    searches = []
+    for name in ("_p_ordering_balls", "_p_ordering_finite"):
+        def counted(s, n_prec, search=getattr(padelic.ordering, name)):
+            searches.append(s.prime)
+            return search(s, n_prec)
+        monkeypatch.setattr(padelic.ordering, name, counted)
+    a = parse_adelic("default=Zp; p=2; balls: 0+p^1, 3+p^3; p=5; balls: 1+p^1; p=3; finite: "
+                     + ", ".join(str(i) for i in range(30)))
+    regular_basis(a, 24)
+    assert sorted(searches) == [2, 3, 5, 7, 11, 13, 17, 19, 23]

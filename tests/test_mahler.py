@@ -12,7 +12,7 @@ from padelic.mahler import (StepFunction, evaluate, expand,
                             expand_adelic, expand_in_basis, sup_norm_data)
 from padelic.adelic import adelic_ordering
 from padelic.ordering import basis_rational
-from padelic.padic import INF, PAdicInt
+from padelic.padic import INF, PAdicInt, residue
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
 
 
@@ -155,3 +155,39 @@ def test_random_roundtrip(p, m, seed):
         assert evaluate(s, r).residue == phi.value_at(r)
     lo, hi = sup_norm_data(s, phi)
     assert lo == hi
+
+
+def exact_interpolation(phi, o):
+    """Coefficients of the interpolant of phi's table in the exact basis f_k."""
+    coeffs = []
+    for n, a in enumerate(o.points):
+        a = Fraction(a)
+        coeffs.append(phi.value_at(a) - sum(c * basis_rational(o, k)(a)
+                                            for k, c in enumerate(coeffs)))
+    return coeffs
+
+
+def test_finite_domain_with_a_deep_step_valuation():
+    # 0 and 4096 are 2^12 apart: the step valuation 12 lies above N = 4 and
+    # above len + 1 digits, but a finite set's valuations are exact
+    dom = CompactSet.from_finite(2, [0, 4096, 1])
+    phi = step(2, dom, 1, {0: 1, 1: 3}, 4)
+    s = expand(phi, None, 4)
+    assert s.certified and s.coeffs == (1, 2, 0)
+    assert s.ordering.w == (0, 0, 12)
+    assert s.coeffs == tuple(residue(c, 2 ** 4) for c in exact_interpolation(phi, s.ordering))
+
+
+@given(st.sampled_from([2, 3]), st.lists(st.integers(-40, 40), min_size=2, max_size=6,
+                                         unique=True),
+       st.integers(6, 14), st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_finite_domain_expansion_is_exact_interpolation(p, elems, e, n_prec, seed):
+    # one element p^e away from another forces a step valuation >= e
+    dom = CompactSet.from_finite(p, elems + [elems[0] + p ** e])
+    rng = random.Random(seed)
+    phi = step(p, dom, 1, {r: rng.randrange(p ** n_prec) for r in residues(dom, 1)}, n_prec)
+    s = expand(phi, None, n_prec)
+    assert s.certified and s.length() <= len(dom.finite)
+    exact = exact_interpolation(phi, s.ordering)[:s.length()]
+    assert s.coeffs == tuple(residue(c, p ** n_prec) for c in exact)

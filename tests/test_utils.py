@@ -1,0 +1,26 @@
+"""Integer helpers: the primality test against trial division."""
+from __future__ import annotations
+
+import pytest
+
+from padelic.utils import MILLER_RABIN_BOUND, is_prime
+
+from oracles import trial_division_is_prime
+
+
+def test_is_prime_matches_trial_division_below_a_million():
+    assert [n for n in range(10 ** 6) if is_prime(n)] == [
+        n for n in range(10 ** 6) if trial_division_is_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n) and not trial_division_is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(1099511627689)
+
+
+def test_is_prime_refuses_beyond_the_bound():
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(10 ** 42 + 63)
+    assert not is_prime(10 ** 42 + 64)  # a factor up to 41 still decides it
