@@ -5,19 +5,35 @@ coefficients are lifted to integers, and the resulting exact partial sums are
 combined coefficientwise by CRT so the output is congruent to each partial
 sum p-adically and integral at every other prime.  Soundness is re-verified
 before returning: per-prime ball-wise closeness plus global membership.
+
+A partial sum sum c_n f_n is built in nested Newton form.  With
+f_n = prod_{k<n} (x - a_k) / d_n and d_n = prod_{k<n} (a_n - a_k), it is
+e_0 + (x - a_0)(e_1 + (x - a_1)(e_2 + ...)) with e_n = c_n / d_n, one pass of
+O(L^2) multiplications over a common denominator of the e_n.
+
+Closeness is checked pointwise in integers, by the unimodularity argument of
+the ``mahler`` module docstring.  On a class c + p^d Z_p of a ball domain
+(d = max(m, deepest ball radius)) the values of t -> phi(c) - f(c + p^d t)
+at t = 0..deg f and their forward differences (its Mahler coefficients) are
+integer combinations of each other, so all differences have valuation >= k
+exactly when all values do, and then the bound holds on the whole class.
+With f = F/D, F integral, v_p(phi(x) - f(x)) >= k exactly when
+F(x) - D phi(x) = 0 mod p^(k + v_p(D)); each value is one Horner pass on the
+residue of x.  A finite domain is checked at its elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from math import lcm
+from typing import Dict, Sequence, Tuple
 
 from .errors import CertificateFailed
 from .globalbasis import crt_combine, global_membership
 from .mahler import StepFunction, expand
-from .ordering import basis_rational
-from .padic import DEFAULT_PRECISION, valp
-from .polys import RatPoly
+from .ordering import POrdering
+from .padic import DEFAULT_PRECISION, residue, valp
+from .polys import RatPoly, horner_mod
 from .sets import AdelicSet, residues
 
 
@@ -77,33 +93,57 @@ def _build(r: ApproxRequest, mult: int) -> RatPoly:
     parts = []
     for p, (phi, k) in sorted(r.targets.items()):
         series = expand(phi, None, min(mult * k, phi.precision))
-        partial = RatPoly.zero()
-        for n, c in enumerate(series.coeffs):
-            if c:
-                partial = partial + basis_rational(series.ordering, n).scale(c)
-        parts.append((p, k_top, partial))
+        parts.append((p, k_top, _newton_sum(series.ordering, series.coeffs)))
     cap = max(f.degree() for _, _, f in parts)
     return crt_combine(parts, max(cap, 0))
 
 
+def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> RatPoly:
+    """sum_n c_n f_n over the ordering basis, folded in nested Newton form.
+
+    The e_n are scaled by their common denominator, so on a ball domain
+    (integer points) the fold runs in integers.
+    """
+    top = max((n for n, c in enumerate(coeffs) if c), default=-1)
+    pts = o.points
+    e = []
+    for n in range(top + 1):
+        d = 1
+        for a in pts[:n]:
+            d *= pts[n] - a
+        e.append(Fraction(coeffs[n]) / d)
+    den = lcm(*(x.denominator for x in e))
+    h: list = []  # lowest degree first
+    for n in range(top, -1, -1):
+        a = pts[n]
+        h = [0] + h  # h <- h * (x - a_n) + e_n * den
+        for i in range(len(h) - 1):
+            h[i] -= a * h[i + 1]
+        h[0] += e[n].numerator * (den // e[n].denominator)
+    return RatPoly.make([Fraction(c, den) for c in h])
+
+
 def _verify(f: RatPoly, r: ApproxRequest):
     """Exact per-target closeness check; None when every target passes."""
+    den, num = f.integer_form()
     for p, (phi, k) in r.targets.items():
+        mod = p ** (k + valp(den, p))
+        coeffs = [c % mod for c in num]
+
+        def misses(x: int, value: int) -> bool:
+            return (horner_mod(coeffs, x, mod) - den * value) % mod != 0
+
         domain = phi.domain
         if domain.is_finite():
             for e in domain.finite:
-                if valp(phi.value_at(e) - f(e), p) < k:
+                if misses(residue(e, mod), phi.value_at(e)):
                     return f"target at {p} misses element {e}"
             continue
         depth = max(phi.modulus_exp, domain.max_ball_exponent())
         step = p ** depth
         top = max(f.degree(), 0)
         for c in residues(domain, depth):
-            target = Fraction(phi.value_at(c))
-            diffs = [target - f(Fraction(c + step * i)) for i in range(top + 1)]
-            # binomial-basis coefficients of t -> phi(c) - f(c + p^depth t)
-            for _ in range(top + 1):
-                if valp(diffs[0], p) < k:
-                    return f"target at {p} misses ball {c} + {p}^{depth} Z_{p}"
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            target = phi.value_at(c)
+            if any(misses((c + step * i) % mod, target) for i in range(top + 1)):
+                return f"target at {p} misses ball {c} + {p}^{depth} Z_{p}"
     return None

@@ -20,7 +20,7 @@ from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
 from .polys import format_poly, parse_poly
-from .sets import (AdelicSet, adelic_from_json, adelic_to_json, parse_adelic,
+from .sets import (AdelicSet, _is_int, adelic_from_json, adelic_to_json, parse_adelic,
                    parse_set, set_from_json)
 
 VALIDATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, NotFinitelyGenerated,
@@ -49,12 +49,27 @@ def _load_request(path: str) -> Dict[str, Any]:
         return json.load(fh)
 
 
+def _json_object(obj: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
+    obj = _json_object(obj, "step function")
     domain = set_from_json(obj["set"])
-    n_prec = int(obj.get("N", DEFAULT_PRECISION))
-    table = {int(k): int(v) for k, v in obj["table"].items()}
-    return StepFunction(prime=int(obj["p"]), domain=domain,
-                       modulus_exp=int(obj["m"]), table=table, precision=n_prec)
+    n_prec = _json_int(obj.get("N", DEFAULT_PRECISION), "N")
+    table = {int(k): _json_int(v, f"table value at {k}")
+             for k, v in _json_object(obj["table"], "table").items()}
+    return StepFunction(prime=_json_int(obj["p"], "p"), domain=domain,
+                        modulus_exp=_json_int(obj["m"], "m"), table=table, precision=n_prec)
 
 
 def _cmd_ordering(args) -> Dict[str, Any]:
@@ -105,8 +120,10 @@ def _cmd_expand(args) -> Dict[str, Any]:
 def _cmd_approx(args) -> Dict[str, Any]:
     obj = _load_request(args.request)
     a = adelic_from_json(obj["set"])
-    targets = {int(p): (_step_fn_from_json(t["phi"]), int(t["k"]))
-               for p, t in obj["targets"].items()}
+    targets = {}
+    for p, t in _json_object(obj["targets"], "targets").items():
+        t = _json_object(t, f"target at {p}")
+        targets[int(p)] = (_step_fn_from_json(t["phi"]), _json_int(t["k"], f"k at {p}"))
     cert = approximate(ApproxRequest(set=a, targets=targets), args.precision)
     return {"poly": format_poly(cert.poly),
             "certificate": {"closeness": {str(p): k for p, k in cert.closeness.items()},

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, INF, PAdicInt, Rat, residue, valp
+from .polys import horner_mod
 from .sets import CompactSet, residues
 
 
@@ -226,10 +227,7 @@ def _certify(s: MahlerSeries, phi: StepFunction, evaluator: _BasisEvaluator) -> 
         h[0] = (h[0] + s.coeffs[k] * evaluator._dinv[k] * (p_w // pw[k])) % mod
     h.reverse()
     for x in _test_points(phi, top):
-        r, acc = residue(x, mod), 0
-        for c in h:
-            acc = (acc * r + c) % mod
-        if (acc - p_w * phi.value_at(x)) % mod:
+        if (horner_mod(h, residue(x, mod), mod) - p_w * phi.value_at(x)) % mod:
             return False
     return True
 

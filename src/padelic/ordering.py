@@ -27,7 +27,7 @@ from typing import Iterator, List, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
 from .padic import DEFAULT_PRECISION, residue, valp
-from .polys import RatPoly
+from .polys import RatPoly, horner_mod
 from .sets import CompactSet, residues
 
 Point = Union[int, Fraction]
@@ -223,15 +223,24 @@ class LocalLifts:
 
 
 def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
-    """Whether f maps the set into Z_p, via values at p-ordering points."""
+    """Whether f maps the set into Z_p, via values at p-ordering points.
+
+    With f = F/D, F integral, f(a) lies in Z_p exactly when F(a) = 0 mod
+    p^v_p(D), so the values are tested on integer residues.  When p does not
+    divide D, f maps all of Z_p into Z_p and no ordering is built.
+    """
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
     p = s.prime
-    if f.is_zero():
+    den, num = f.integer_form()
+    v = valp(den, p)
+    if v == 0:
         return True
     d = f.degree()
     if s.is_finite() and d >= len(s.finite):
         pts: List[Point] = list(s.finite)
     else:
         pts = list(p_ordering(s, d, n_prec).points)
-    return all(valp(f(a), p) >= 0 for a in pts)
+    mod = p ** v
+    num = [c % mod for c in num]
+    return all(horner_mod(num, residue(a, mod), mod) == 0 for a in pts)

@@ -103,6 +103,12 @@ class RatPoly:
             d = d * c.denominator // gcd(d, c.denominator)
         return d
 
+    def integer_form(self) -> Tuple[int, List[int]]:
+        """(D, F): the least common denominator D and the integer coefficients
+        of D * f, highest degree first (the order ``horner_mod`` reads)."""
+        d = self.denominator()
+        return d, [c.numerator * (d // c.denominator) for c in reversed(self.coeffs)]
+
     def binomial_coeffs(self, length: int = None) -> List[Fraction]:
         """Coefficients b_n in f = sum b_n * binom(x, n), via finite differences."""
         if length is None:
@@ -122,6 +128,14 @@ class RatPoly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
+    """The integer polynomial with coefficients highest degree first, at x, mod mod."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % mod
+    return acc
 
 
 # ---------------------------------------------------------------------------

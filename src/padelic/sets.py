@@ -242,6 +242,11 @@ def set_from_json(obj: dict) -> CompactSet:
     if "finite" in obj:
         elems = []
         for e in obj["finite"]:
+            if _is_int(e):
+                elems.append(Fraction(e))
+                continue
+            if not isinstance(e, dict):
+                raise ValueError(f"element {e!r} is neither an integer nor a num/den object")
             num, den = e["num"], e["den"]
             if not (_is_int(num) and _is_int(den)) or den == 0:
                 raise ValueError(f"element {num!r}/{den!r} is not a rational number")

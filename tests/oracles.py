@@ -8,10 +8,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
+from padelic.approx import ApproxRequest
 from padelic.errors import NotFinitelyGenerated, PrecisionExhausted, SetTooSmall
 from padelic.globalbasis import BasisFamily, _xgcd, basis_prime_set, crt_combine
 from padelic.mahler import MahlerSeries, StepFunction, _BasisEvaluator
-from padelic.ordering import POrdering, local_membership, p_ordering, product_poly
+from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
+                              product_poly)
 from padelic.padic import DEFAULT_PRECISION, residue, valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
@@ -46,6 +48,53 @@ def certify_by_differences(s: MahlerSeries, phi: StepFunction,
                 return False
             diffs = [(b - a) % small for a, b in zip(diffs, diffs[1:])]
     return True
+
+
+def partial_sum_by_basis_rational(s: MahlerSeries) -> RatPoly:
+    """sum c_n f_n, adding each exact basis polynomial f_n in turn."""
+    partial = RatPoly.zero()
+    for n, c in enumerate(s.coeffs):
+        if c:
+            partial = partial + basis_rational(s.ordering, n).scale(c)
+    return partial
+
+
+def verify_by_differences(f: RatPoly, r: ApproxRequest):
+    """The forward-difference closeness check of ``approx``: on every class
+    c mod p^d each Mahler coefficient of t -> phi(c) - f(c + p^d t),
+    t = 0..top, has valuation >= k; a finite domain is checked at its
+    elements.  None when every target passes, else the first miss."""
+    for p, (phi, k) in r.targets.items():
+        domain = phi.domain
+        if domain.is_finite():
+            for e in domain.finite:
+                if valp(phi.value_at(e) - f(e), p) < k:
+                    return f"target at {p} misses element {e}"
+            continue
+        depth = max(phi.modulus_exp, domain.max_ball_exponent())
+        step = p ** depth
+        top = max(f.degree(), 0)
+        for c in residues(domain, depth):
+            target = Fraction(phi.value_at(c))
+            diffs = [target - f(Fraction(c + step * i)) for i in range(top + 1)]
+            for _ in range(top + 1):
+                if valp(diffs[0], p) < k:
+                    return f"target at {p} misses ball {c} + {p}^{depth} Z_{p}"
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return None
+
+
+def membership_at_points(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
+    """Reference local membership: f(a) in Z_p by exact Fraction evaluation at
+    the ordering points a_0..a_deg (at every element of a small finite set)."""
+    if f.is_zero():
+        return True
+    d = f.degree()
+    if s.is_finite() and d >= len(s.finite):
+        pts = list(s.finite)
+    else:
+        pts = list(p_ordering(s, d, n_prec).points)
+    return all(valp(f(a), s.prime) >= 0 for a in pts)
 
 
 def trial_division_primes(n: int) -> set:

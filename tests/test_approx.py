@@ -5,13 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padelic.approx import ApproxRequest, approximate
+from padelic.approx import ApproxRequest, _build, _newton_sum, _verify, approximate
 from padelic.globalbasis import global_membership
-from padelic.mahler import StepFunction
+from padelic.mahler import MahlerSeries, StepFunction, expand
+from padelic.ordering import p_ordering
 from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
+
+from oracles import partial_sum_by_basis_rational, verify_by_differences
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -86,3 +90,81 @@ def test_monotone_in_k():
         assert cert.member
         for r in range(16):
             assert valp(cert.poly(Fraction(r)) - phi2.value_at(r), 2) >= k
+
+
+# ---------------------------------------------------------------------------
+# the integer build and closeness check against the Fraction references
+
+
+def _domain(p: int, shape: str, rng: random.Random) -> CompactSet:
+    if shape == "zp":
+        return CompactSet.zp(p)
+    if shape == "balls":
+        k = rng.randrange(1, 3)
+        centres = rng.sample(range(p ** k), rng.randrange(1, p ** k))
+        return CompactSet.from_balls(p, [(c, k) for c in centres])
+    elems = {Fraction(rng.randrange(-40, 41), rng.choice([1, 1, 7, 11]))
+             for _ in range(rng.randrange(4, 9))}
+    return CompactSet.from_finite(p, sorted(elems))
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_newton_sum_matches_basis_rational_sum(p, shape, seed):
+    rng = random.Random(seed)
+    dom = _domain(p, shape, rng)
+    length = rng.randrange(0, min(12, len(dom.finite) if dom.is_finite() else 12))
+    o = p_ordering(dom, length, 64)
+    coeffs = [rng.choice([0, rng.randrange(p ** 6)]) for _ in range(rng.randrange(length + 2))]
+    series = MahlerSeries(ordering=o, coeffs=tuple(coeffs), precision=6, certified=False)
+    assert _newton_sum(o, coeffs) == partial_sum_by_basis_rational(series)
+
+
+def _candidates(r: ApproxRequest, rng: random.Random):
+    """The certified combination, then partial sums that are truncated or
+    carry one corrupted coefficient."""
+    yield _build(r, 1)
+    for p, (phi, k) in r.targets.items():
+        series = expand(phi, None, phi.precision)
+        o, coeffs = series.ordering, list(series.coeffs)
+        yield _newton_sum(o, coeffs)
+        for n in range(1, len(coeffs)):
+            yield _newton_sum(o, coeffs[:n])
+        for _ in range(3):
+            bad = list(coeffs)
+            i = rng.randrange(len(bad))
+            bad[i] = (bad[i] + p ** rng.randrange(phi.precision)) % p ** phi.precision
+            yield _newton_sum(o, bad)
+            yield _newton_sum(o, bad[:rng.randrange(1, len(bad) + 1)])
+
+
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 5]),
+                          st.sampled_from(["zp", "balls", "finite"])),
+                min_size=1, max_size=2, unique_by=lambda t: t[0]),
+       st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_verify_matches_difference_table(shapes, k, seed):
+    rng = random.Random(seed)
+    tracked, targets = {}, {}
+    for p, shape in shapes:
+        dom = tracked[p] = _domain(p, shape, rng)
+        m = rng.randrange(0, 3 if p < 5 else 2)
+        table = {r: rng.randrange(p ** (k + 1)) for r in residues(dom, m)}
+        targets[p] = (StepFunction(p, dom, m, table, k + 1), k)
+    r = ApproxRequest(set=AdelicSet(tracked=tracked, default=FULL), targets=targets)
+    for f in _candidates(r, rng):
+        assert _verify(f, r) == verify_by_differences(f, r)
+
+
+def test_verify_names_the_same_first_miss():
+    dom = CompactSet.from_balls(3, [(1, 1), (5, 2)])
+    phi = StepFunction(3, dom, 2, {r: r * r % 27 for r in residues(dom, 2)}, 3)
+    r = ApproxRequest(set=AdelicSet(tracked={3: dom}, default=FULL), targets={3: (phi, 2)})
+    series = expand(phi, None, 3)
+    for n in range(1, series.length()):
+        f = _newton_sum(series.ordering, series.coeffs[:n])
+        assert _verify(f, r) == verify_by_differences(f, r)
+    assert _verify(_newton_sum(series.ordering, series.coeffs[:2]), r).startswith(
+        "target at 3 misses ball")
+    assert _verify(RatPoly.zero(), r) == verify_by_differences(RatPoly.zero(), r) is not None

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from padelic.cli import run
 
 
@@ -236,3 +238,80 @@ def test_large_prime_modulus_is_decided_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "3317044064679887385961981" in json.loads(out)["detail"]
+
+
+def test_finite_set_accepts_plain_integer_elements(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": 2, "m": 1, "N": 4, "table": {"0": 1, "1": 3},
+                               "set": {"p": 2, "finite": [0, 4096, 1]}}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["coeffs"] == [1, 2, 0] and obj["points"] == [0, 1, 4096]
+
+
+@pytest.mark.parametrize("element", ["4096", True, 2.0, [1, 2], None],
+                         ids=["string", "bool", "float", "list", "null"])
+def test_finite_set_rejects_other_non_object_elements(tmp_path, capsys, element):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": 2, "m": 1, "N": 4, "table": {"0": 1, "1": 3},
+                               "set": {"p": 2, "finite": [0, element, 3]}}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def _approx_request() -> dict:
+    phi = {"p": 2, "set": {"p": 2, "balls": [{"center": 0, "k": 0}]},
+           "m": 1, "table": {"0": 0, "1": 1}, "N": 4}
+    return {"set": {"default": "Zp", "tracked": {}}, "targets": {"2": {"phi": phi, "k": 1}}}
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("target", "k", 2.5),  # was certified at closeness 2
+    ("target", "k", True),  # was accepted as 1
+    ("phi", "m", 1.7),  # was expanded at m = 1
+    ("phi", "N", 4.0),
+    ("phi", "p", "2"),
+    ("phi", "table", {"0": 0, "1": 1.0}),
+    ("phi", "table", [0, 1]),
+    ("targets", "2", [1, 2]),  # was a TypeError traceback
+], ids=["k-float", "k-bool", "m-float", "N-float", "p-string", "table-float",
+        "table-list", "target-list"])
+def test_approx_integer_fields_are_not_truncated(tmp_path, capsys, where, key, value):
+    obj = _approx_request()
+    target = obj["targets"]["2"]
+    {"targets": obj["targets"], "target": target, "phi": target["phi"]}[where][key] = value
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(obj))
+    code, out = run_cli(["approx", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_approx_request_with_integer_fields_still_runs(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(_approx_request()))
+    code, out = run_cli(["approx", "--request", str(req)], capsys)
+    assert code == 0 and json.loads(out)["poly"] == "x"
+
+
+def test_expand_integer_fields_are_not_truncated(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": 2, "set": {"p": 2, "balls": [{"center": 0, "k": 0}]},
+                               "m": 2.9, "table": {"0": 0, "1": 1}, "N": 4}))
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": "m must be an integer, got 2.9"}
+
+
+def test_member_denominator_prime_to_p_needs_no_ordering(capsys):
+    # ordering this set needs more than 3 digits at step 1, but 3 and 7 are
+    # units in Z_2, so the answer is known without it
+    argv = ["member", "--set", "p=2; balls: 0+p^1, 3+p^3", "--precision", "3"]
+    code, out = run_cli(argv + ["--poly", "1/3*x^12 + 5/7*x"], capsys)
+    assert code == 0 and json.loads(out)["member"] is True
+    code, out = run_cli(argv + ["--poly", "1/6*x^12 + 5/7*x"], capsys)
+    assert code == 3
+    assert json.loads(out)["error"] == "PrecisionExhausted"

@@ -5,7 +5,9 @@ Each case runs ``padelic.cli.run`` in-process.  Expected stdout lives in
 ``tests/golden/exit_codes.json``; request files are under
 ``tests/golden/requests/``.  After an intended output change, rewrite the
 expected files with ``PYTHONPATH=src python tests/test_cli_golden.py --write``
-and review the diff.
+and review the diff.  ``--write NAME ...`` writes only the named cases (and
+their entries in ``exit_codes.json``), so a new case can be added without
+rewriting the expected files of the others.
 """
 from __future__ import annotations
 
@@ -50,6 +52,8 @@ CASES = {
     "member_binomial": ["member", "--poly", "1/2*x^2-1/2*x", "--adelic", "default=Zp"],
     "member_false": ["member", "--poly", "1/2*x", "--adelic", "default=Zp"],
     "member_local_set": ["member", "--poly", "1/2*x", "--set", "p=2; balls: 0+p^1"],
+    "member_local_prime_to_p": ["member", "--poly", "1/3*x^3 + 2/5*x - 7/15",
+                                "--set", "p=2; balls: 1+p^1, 2+p^3"],
     "expand_zp2_squares": ["expand", "--request", f"{REQ}/expand_zp2_squares.json"],
     "expand_balls3": ["expand", "--request", f"{REQ}/expand_balls3.json"],
     "expand_finite5": ["expand", "--request", f"{REQ}/expand_finite5.json"],
@@ -58,6 +62,9 @@ CASES = {
     "expand_zp2_m4": ["expand", "--request", f"{REQ}/expand_zp2_m4.json"],
     "approx_single": ["approx", "--request", f"{REQ}/approx_single.json"],
     "approx_two_primes": ["approx", "--request", f"{REQ}/approx_two_primes.json"],
+    "approx_three_primes_balls5": ["approx", "--request",
+                                   f"{REQ}/approx_three_primes_balls5.json"],
+    "approx_tracked_finite": ["approx", "--request", f"{REQ}/approx_tracked_finite.json"],
     "adelic_ordering_zp": ["adelic-ordering", "--adelic", "default=Zp", "--length", "8"],
     "adelic_ordering_tracked": ["adelic-ordering", "--adelic",
                                 "default=Zp; p=2; balls: 1+p^2; p=3; finite: 0, 1, 3, 4, 9",
@@ -88,15 +95,19 @@ def test_golden(name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
-def _write() -> None:
-    codes = {}
-    for name in sorted(CASES):
+def _write(names) -> None:
+    """Write the expected files of the named cases, or of every case."""
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(sorted(unknown))}")
+    codes = _exit_codes() if names else {}
+    for name in sorted(names or CASES):
         codes[name], out = _run(CASES[name])
         (GOLDEN / f"{name}.out").write_text(out)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_cli_golden.py --write")
-    _write()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_cli_golden.py --write [NAME ...]")
+    _write(sys.argv[2:])

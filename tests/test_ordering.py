@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -15,6 +16,8 @@ from padelic.ordering import (basis_rational,
 from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
+
+from oracles import membership_at_points
 
 
 def oracle_w_finite(elems, p):
@@ -167,3 +170,47 @@ def test_local_membership():
     f = RatPoly.make([0, 0, Fraction(1, 2)])
     assert local_membership(f, CompactSet.pzp(2))
     assert not local_membership(f, s)
+
+
+def _membership_domain(p: int, shape: str, rng: random.Random) -> CompactSet:
+    if shape == "zp":
+        return CompactSet.zp(p)
+    if shape == "balls":
+        k = rng.randrange(1, 4)
+        return CompactSet.from_balls(
+            p, [(c, k) for c in rng.sample(range(p ** k), min(p ** k, rng.randrange(1, 4)))])
+    elems = {Fraction(rng.randrange(-60, 61), rng.choice([1, 1, 13]))
+             for _ in range(rng.randrange(2, 9))}
+    return CompactSet.from_finite(p, sorted(elems))
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_local_membership_matches_fraction_values(p, shape, seed):
+    rng = random.Random(seed)
+    s = _membership_domain(p, shape, rng)
+    # denominators: powers of p, primes other than p, and mixtures of both
+    dens = [1, p, p ** 2, p ** 3, 7 * 11, p * 13, p ** 2 * 17]
+    for _ in range(8):
+        f = RatPoly.make([Fraction(rng.randrange(-30, 31), rng.choice(dens))
+                          for _ in range(rng.randrange(1, 8))])
+        if valp(f.denominator(), p) == 0:
+            assert local_membership(f, s)
+        try:
+            expected = membership_at_points(f, s)
+        except PrecisionExhausted:
+            continue
+        assert local_membership(f, s) == expected
+
+
+def test_local_membership_unit_denominator_builds_no_ordering():
+    # ordering this set needs more than 3 digits at step 1; a denominator
+    # prime to 2 decides membership without it
+    s = CompactSet.from_balls(2, [(0, 1), (3, 3)])
+    with pytest.raises(PrecisionExhausted):
+        p_ordering(s, 12, 3)
+    assert local_membership(RatPoly.make([0, Fraction(5, 7)] + [0] * 10 + [Fraction(1, 3)]),
+                            s, 3)
+    with pytest.raises(PrecisionExhausted):
+        local_membership(RatPoly.make([0] * 12 + [Fraction(1, 6)]), s, 3)
