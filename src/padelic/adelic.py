@@ -71,7 +71,7 @@ class AdelicOrdering:
 def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrdering:
     """Adelic ordering with `length` points (indices 0..length-1).
 
-    Tracked components come from the greedy per-prime orderings; untracked
+    Tracked components come from the per-prime p-orderings; untracked
     components are the diagonal sequence 0, 1, 2, ...
     """
     if n_prec is None:

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from .adelic import adelic_ordering, scale_into_z
 from .approx import ApproxRequest, approximate
@@ -20,8 +20,9 @@ from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
 from .polys import format_poly, parse_poly
-from .sets import (AdelicSet, _is_int, adelic_from_json, adelic_to_json, parse_adelic,
-                   parse_set, set_from_json)
+from .sets import (AdelicSet, _json_int, _json_list, _json_object, adelic_from_json,
+                   adelic_to_json, parse_adelic, parse_set, rational_from_json,
+                   set_from_json)
 
 VALIDATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, NotFinitelyGenerated,
                      NoAdelicOrdering)
@@ -46,20 +47,7 @@ def _emit(obj: Dict[str, Any], out_path: str) -> None:
 
 def _load_request(path: str) -> Dict[str, Any]:
     with open(path) as fh:
-        return json.load(fh)
-
-
-def _json_object(obj: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
-    return obj
-
-
-def _json_int(value: Any, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused, not truncated."""
-    if not _is_int(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+        return _json_object(json.load(fh), "request")
 
 
 def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
@@ -144,12 +132,17 @@ def _cmd_adelic_ordering(args) -> Dict[str, Any]:
 
 def _cmd_scale(args) -> Dict[str, Any]:
     obj = _load_request(args.request)
-    components = {int(p): [(Fraction(c["num"], c.get("den", 1))
-                            if isinstance(c, dict) else Fraction(c), int(k))
-                           for c, k in balls]
-                  for p, balls in obj["components"].items()}
+    components = {int(p): [_scale_ball(b, p) for b in _json_list(balls, f"component at {p}")]
+                  for p, balls in _json_object(obj["components"], "components").items()}
     d, scaled = scale_into_z(components)
     return {"d": d, "set": adelic_to_json(scaled)}
+
+
+def _scale_ball(ball: Any, p: str) -> Tuple[Fraction, int]:
+    """One [centre, radius] pair of a ``scale`` component."""
+    if not (isinstance(ball, list) and len(ball) == 2):
+        raise ValueError(f"ball {ball!r} at {p} is not a [centre, radius] pair")
+    return rational_from_json(ball[0], f"centre at {p}"), _json_int(ball[1], f"radius at {p}")
 
 
 def _adelic_arg(args) -> AdelicSet:

@@ -5,7 +5,7 @@ collect the finitely many primes whose component meets at most n residues
 modulo p, CRT-combine the local rational lifts modulo p, then apply a Bezout
 adjustment so the leading coefficient is exactly 1 over the factorial-like
 denominator.  One ``LocalLifts`` per prime serves every degree of a call: the
-greedy search and the product polynomial are extended, never rebuilt.
+ordering and the product polynomial are extended, never rebuilt.
 """
 from __future__ import annotations
 

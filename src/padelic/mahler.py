@@ -154,16 +154,14 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
     finite = domain.is_finite()
     cap = len(domain.finite) - 1 if finite else (length_cap or _default_length_cap(phi))
     run_target = max(1, p ** phi.modulus_exp)
-    # the greedy search may need residue depth ~ cap regardless of the
-    # coefficient precision, so the ordering gets its own depth budget; on a
-    # finite domain every step valuation is exact and at most the valuation
-    # sum of one element's differences, so the budget is set above them all
-    # (never below len + 1: the first point's residue tie-break depends on it)
+    # a ball ordering needs no precision; on a finite domain every step
+    # valuation is exact and at most the valuation sum of one element's
+    # differences, so the ordering's budget is set above them all (never
+    # below len + 1: the first point's residue tie-break depends on it)
+    ord_prec = n_prec
     if finite:
         ord_prec = max(n_prec, cap + 2, 1 + max(
             sum(valp(x - y, p) for y in domain.finite if y != x) for x in domain.finite))
-    else:
-        ord_prec = max(n_prec, cap + domain.max_ball_exponent() + 2)
     o = _ensure_ordering(domain, o, min(cap, 15), ord_prec)
     evaluator = _BasisEvaluator(o, n_prec)
     coeffs: List[int] = []

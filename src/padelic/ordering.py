@@ -1,34 +1,43 @@
-"""Greedy p-orderings, their valuation sequences, and the two local bases.
+"""p-orderings, their valuation sequences, and the two local bases.
 
-The greedy step minimizes v_p(prod_k (y - a_k)) over the set.  Candidates are
-enumerated as residues of the set at an adaptive depth d; a candidate class is
-scored by the sum of its factor valuations capped at d, which is a lower bound
-for every point of the class and exact as soon as no previous point lies in
-the class.  The depth is increased until the minimum is attained by such an
-exact class, so the chosen step valuation is provably the true minimum.
+A p-ordering of a compact set E starts at a_0 and takes for a_n a point y of E
+that minimizes v_p(prod_{k<n} (y - a_k)); that minimum is w(n).  Among the
+minimizers the smallest is taken: the least non-negative integer for a union
+of balls, the least canonical residue modulo p^N (then the least rational)
+for a finite set.
 
-Chosen points are exact set elements: canonical integer residues for ball
-sets (membership there only depends on finitely many digits), exact rationals
-for finite sets.  All downstream evaluations are therefore exact.
+A union of balls is ordered in closed form by Bhargava's recursion
+(Bhargava, J. reine angew. Math. 490 (1997); Johnson, J. Algebraic Combin. 30
+(2009)).  E = Z_p has a_n = n and w(n) = v_p(n!).  If E lies in one class
+r mod p, then E = r + pE', a_n = r + p a'_n and w(n) = n + w_E'(n).  Otherwise
+a point's step valuation counts only the previous points of its own class, so
+the orderings of the parts of E in the classes mod p are merged, taking the
+least (w, point) each time.  The points are exact non-negative integers, and
+no precision is involved.
 
-The greedy search is a stream of steps (a_n, w(n)), and step n never depends
+A finite set is ordered greedily with the exact valuation sums of every
+remaining element.  It is the only ordering that can raise
+PrecisionExhausted: a step valuation at n_prec digits or more is refused.
+
+Either ordering is a stream of steps (a_n, w(n)), and step n never depends
 on how many steps follow, so every prefix of an ordering is itself the
 ordering of that length.  ``LocalLifts`` keeps one stream per set together
 with the running product g_n = prod_{k<n} (x - a_k) modulo p^N, so a caller
-that needs the lifts of every degree runs the search once.
+that needs the lifts of every degree orders the set once.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator, List, Tuple, Union
+from heapq import merge
+from itertools import count, islice
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
 from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly, horner_mod
-from .sets import CompactSet, residues
+from .sets import CompactSet
+from .utils import v_of_factorial
 
 Point = Union[int, Fraction]
 Step = Tuple[Point, int]  # (a_n, w(n))
@@ -54,12 +63,11 @@ class POrdering:
 
 
 def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
-    """Greedy p-ordering of s with points a_0..a_length.
+    """The p-ordering of s with points a_0..a_length (see the module docstring).
 
-    Deterministic: among step minimizers the candidate with the smallest
-    canonical residue is chosen.  Raises PrecisionExhausted when deciding a
-    step would need valuations at or beyond n_prec digits, and
-    LengthExceedsSet for finite sets that are too small.
+    A ball union needs no precision.  A finite set raises PrecisionExhausted
+    when a step valuation reaches n_prec digits, and LengthExceedsSet when it
+    has too few elements.
     """
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
@@ -73,12 +81,11 @@ def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
                      n_prec)
 
 
-
 def _ordering_steps(s: CompactSet, n_prec: int) -> Iterator[Step]:
-    """The greedy steps (a_n, w(n)) of s, n = 0, 1, ...; a finite set's run out."""
+    """The steps (a_n, w(n)) of s, n = 0, 1, ...; a finite set's run out."""
     if s.is_finite():
         return _p_ordering_finite(s, n_prec)
-    return _p_ordering_balls(s, n_prec)
+    return _p_ordering_balls(s.prime, s.balls)
 
 
 def _p_ordering_finite(s: CompactSet, n_prec: int) -> Iterator[Step]:
@@ -100,45 +107,32 @@ def _p_ordering_finite(s: CompactSet, n_prec: int) -> Iterator[Step]:
         yield a, val
 
 
-def _p_ordering_balls(s: CompactSet, n_prec: int) -> Iterator[Step]:
-    p = s.prime
-    start_depth = s.max_ball_exponent() + 1
-    points: List[Point] = [min(residues(s, start_depth))]
-    yield points[0], 0
-    # counters[j-1] counts previous points modulo p^j; the capped factor sum of
-    # a candidate r at depth d is sum_j counters[j-1][r mod p^j].
-    counters: List[Counter] = []
-    candidates: List[List[int]] = []  # candidates[d-1]: sorted residues of s mod p^d
-    n = 0
-    while True:
-        n += 1
-        d = start_depth
-        while True:
-            if d > n_prec:
-                raise PrecisionExhausted(
-                    f"step {n} undecided at precision {n_prec}")
-            while len(counters) < d:
-                j = len(counters) + 1
-                counters.append(Counter(a % p ** j for a in points))
-            while len(candidates) < d:
-                candidates.append(sorted(residues(s, len(candidates) + 1)))
-            mods = [p ** (j + 1) for j in range(d)]
-            best_val, best_r = None, None
-            exact = False
-            for r in candidates[d - 1]:
-                val = sum(counters[j][r % mods[j]] for j in range(d))
-                if best_val is None or val < best_val:
-                    best_val, best_r = val, r
-                    exact = counters[d - 1][r % mods[d - 1]] == 0
-                elif val == best_val and not exact and counters[d - 1][r % mods[d - 1]] == 0:
-                    best_r, exact = r, True
-            if exact:
-                break
-            d += 1
-        points.append(best_r)
-        for j, counter in enumerate(counters):
-            counter[best_r % p ** (j + 1)] += 1
-        yield best_r, best_val
+def _p_ordering_balls(p: int, balls: Sequence[Tuple[int, int]]) -> Iterator[Step]:
+    """The steps of the union E of the balls c + p^k Z_p, by Bhargava's recursion.
+
+    While every ball lies in one class r mod p, E = r + pE' is peeled into an
+    offset, a scale p^j and the depth j, so w(n) = j n + w_inner(n).  The inner
+    set is then Z_p (a ball of radius 0) or meets several classes mod p.  Its
+    parts in the classes are sub-unions of it with fewer balls, so the
+    recursion nests only at splits and never deeper than the number of balls.
+    Each part's stream increases in (w, point): a point that tied at w with a
+    smaller one would have been taken first.  So heapq.merge on (w, point)
+    takes the least head each time.
+    """
+    offset, scale, depth = 0, 1, 0
+    classes = {c % p for c, _ in balls}
+    while len(classes) == 1 and all(k for _, k in balls):
+        r = classes.pop()
+        balls = [((c - r) // p, k - 1) for c, k in balls]
+        offset, scale, depth = offset + scale * r, scale * p, depth + 1
+        classes = {c % p for c, _ in balls}
+    if all(k for _, k in balls):
+        parts = [_p_ordering_balls(p, [b for b in balls if b[0] % p == r]) for r in classes]
+        inner = merge(*parts, key=lambda step: (step[1], step[0]))
+    else:  # the inner set is Z_p
+        inner = ((n, v_of_factorial(n, p)) for n in count())
+    for n, (a, v) in enumerate(inner):
+        yield offset + scale * a, depth * n + v
 
 
 def product_poly(o: POrdering, n: int) -> RatPoly:
@@ -192,12 +186,14 @@ def _lift(g: List[int], p: int, n: int, wn: int, precision: int) -> RatPoly:
 
 
 class LocalLifts:
-    """One greedy p-ordering of a set, pulled a step at a time, and its lifts.
+    """One p-ordering of a set, pulled a step at a time, and its lifts.
 
-    ``w(n)`` runs the search only as far as step n, so an error of step n
-    surfaces when degree n is first asked for.  ``lift(n)`` is
-    ``rational_lift`` of the ordering at degree n, read from the product
-    g_n modulo p^N that is advanced by one linear factor per degree.
+    ``w(n)`` pulls the ordering only as far as step n, so a finite set's
+    PrecisionExhausted at step n surfaces when degree n is first asked for.
+    ``lift(n)`` is ``rational_lift`` of the ordering at degree n, read from
+    the product g_n modulo p^N that is advanced by one linear factor per
+    degree; like ``rational_lift`` it raises PrecisionExhausted when N is
+    below w(n).
     """
 
     def __init__(self, s: CompactSet, n_prec: int):

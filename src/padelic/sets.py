@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptySet
 from .padic import PAdicInt, Rat, residue, valp
@@ -93,15 +93,15 @@ def normalize(s: CompactSet) -> CompactSet:
         for c, k in sorted(balls, key=lambda b: b[1]):  # shallow first
             if not any(k > k0 and c % p ** k0 == c0 for c0, k0 in kept):
                 kept.add((c, k))
-        # coalesce complete sibling families c' + p^k with common parent
+        # coalesce complete sibling families: p balls of radius k, one parent
         balls = kept
-        for c, k in sorted(kept, key=lambda b: -b[1]):
-            if k == 0 or (c, k) not in balls:
-                continue
-            parent = (c % p ** (k - 1), k - 1)
-            family = {((parent[0] + t * p ** (k - 1)) % p ** k, k) for t in range(p)}
-            if family <= balls:
-                balls = (balls - family) | {parent}
+        families: Dict[Tuple[int, int], list] = {}
+        for c, k in kept:
+            if k:
+                families.setdefault((c % p ** (k - 1), k - 1), []).append((c, k))
+        for parent, family in families.items():
+            if len(family) == p:
+                balls = balls.difference(family) | {parent}
                 changed = True
     return CompactSet(p, balls=tuple(sorted(balls, key=lambda b: (b[1], b[0]))))
 
@@ -130,6 +130,8 @@ def residues(s: CompactSet, m: int) -> set:
 
 def count_mod_p(s: CompactSet) -> int:
     """Number of residues the set meets modulo p."""
+    if s.balls and any(k == 0 for _, k in s.balls):
+        return s.prime  # a ball of radius 0 is Z_p
     return len(residues(s, 1))
 
 
@@ -238,21 +240,44 @@ def set_to_json(s: CompactSet) -> dict:
     return {"p": s.prime, "balls": [{"center": c, "k": k} for c, k in s.balls]}
 
 
-def set_from_json(obj: dict) -> CompactSet:
+def _json_object(obj: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _json_list(obj: Any, what: str) -> List[Any]:
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON list, got {obj!r}")
+    return obj
+
+
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def rational_from_json(e: Any, what: str) -> Fraction:
+    """A JSON integer or a ``{"num": a, "den": b}`` object with integer fields."""
+    if _is_int(e):
+        return Fraction(e)
+    if not isinstance(e, dict):
+        raise ValueError(f"{what} {e!r} is neither an integer nor a num/den object")
+    num, den = e["num"], e["den"]
+    if not (_is_int(num) and _is_int(den)) or den == 0:
+        raise ValueError(f"{what} {num!r}/{den!r} is not a rational number")
+    return Fraction(num, den)
+
+
+def set_from_json(obj: Any) -> CompactSet:
+    obj = _json_object(obj, "set")
     if "finite" in obj:
-        elems = []
-        for e in obj["finite"]:
-            if _is_int(e):
-                elems.append(Fraction(e))
-                continue
-            if not isinstance(e, dict):
-                raise ValueError(f"element {e!r} is neither an integer nor a num/den object")
-            num, den = e["num"], e["den"]
-            if not (_is_int(num) and _is_int(den)) or den == 0:
-                raise ValueError(f"element {num!r}/{den!r} is not a rational number")
-            elems.append(Fraction(num, den))
+        elems = [rational_from_json(e, "element") for e in _json_list(obj["finite"], "finite")]
         return CompactSet.from_finite(obj["p"], elems)
-    return CompactSet.from_balls(obj["p"], [(b["center"], b["k"]) for b in obj["balls"]])
+    balls = [_json_object(b, "ball") for b in _json_list(obj["balls"], "balls")]
+    return CompactSet.from_balls(obj["p"], [(b["center"], b["k"]) for b in balls])
 
 
 def adelic_to_json(a: AdelicSet) -> dict:
@@ -260,6 +285,8 @@ def adelic_to_json(a: AdelicSet) -> dict:
             "tracked": {str(p): set_to_json(a.tracked[p]) for p in sorted(a.tracked)}}
 
 
-def adelic_from_json(obj: dict) -> AdelicSet:
-    tracked = {int(p): set_from_json(s) for p, s in obj.get("tracked", {}).items()}
-    return AdelicSet(tracked=tracked, default=obj.get("default", FULL))
+def adelic_from_json(obj: Any) -> AdelicSet:
+    obj = _json_object(obj, "adelic set")
+    tracked = _json_object(obj.get("tracked", {}), "tracked")
+    return AdelicSet(tracked={int(p): set_from_json(s) for p, s in tracked.items()},
+                     default=obj.get("default", FULL))

@@ -5,7 +5,10 @@ computes another way; none of them is used by ``src/``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from typing import List, Tuple
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
 from padelic.approx import ApproxRequest
@@ -198,3 +201,61 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
         assert g_n.lc() == Fraction(1, c.denominator) and c.denominator == denominator
         polys.append(g_n)
     return BasisFamily(set=a, polys=tuple(polys))
+
+
+def greedy_ball_ordering(s: CompactSet, length: int, n_prec: int = DEFAULT_PRECISION
+                         ) -> Tuple[List[int], List[int]]:
+    """Points a_0..a_length and w of a ball union by the adaptive-depth greedy search.
+
+    The greedy step minimizes v_p(prod_k (y - a_k)) over the set.  Candidates
+    are the residues of the set at a depth d; a candidate class is scored by
+    the sum of its factor valuations capped at d, which is a lower bound for
+    every point of the class and exact as soon as no previous point lies in
+    the class.  The depth is increased until the minimum is attained by such
+    an exact class, so the chosen step valuation is the true minimum; among
+    minimizers the least residue is taken.  Raises PrecisionExhausted when a
+    step is undecided at depth n_prec.
+    """
+    steps = list(islice(_greedy_ball_steps(s, n_prec), length + 1))
+    return [a for a, _ in steps], [v for _, v in steps]
+
+
+def _greedy_ball_steps(s: CompactSet, n_prec: int):
+    p = s.prime
+    start_depth = s.max_ball_exponent() + 1
+    points = [min(residues(s, start_depth))]
+    yield points[0], 0
+    # counters[j-1] counts previous points modulo p^j; the capped factor sum of
+    # a candidate r at depth d is sum_j counters[j-1][r mod p^j].
+    counters: List[Counter] = []
+    candidates: List[List[int]] = []  # candidates[d-1]: sorted residues of s mod p^d
+    n = 0
+    while True:
+        n += 1
+        d = start_depth
+        while True:
+            if d > n_prec:
+                raise PrecisionExhausted(
+                    f"step {n} undecided at precision {n_prec}")
+            while len(counters) < d:
+                j = len(counters) + 1
+                counters.append(Counter(a % p ** j for a in points))
+            while len(candidates) < d:
+                candidates.append(sorted(residues(s, len(candidates) + 1)))
+            mods = [p ** (j + 1) for j in range(d)]
+            best_val, best_r = None, None
+            exact = False
+            for r in candidates[d - 1]:
+                val = sum(counters[j][r % mods[j]] for j in range(d))
+                if best_val is None or val < best_val:
+                    best_val, best_r = val, r
+                    exact = counters[d - 1][r % mods[d - 1]] == 0
+                elif val == best_val and not exact and counters[d - 1][r % mods[d - 1]] == 0:
+                    best_r, exact = r, True
+            if exact:
+                break
+            d += 1
+        points.append(best_r)
+        for j, counter in enumerate(counters):
+            counter[best_r % p ** (j + 1)] += 1
+        yield best_r, best_val

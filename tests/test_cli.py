@@ -307,11 +307,72 @@ def test_expand_integer_fields_are_not_truncated(tmp_path, capsys):
 
 
 def test_member_denominator_prime_to_p_needs_no_ordering(capsys):
-    # ordering this set needs more than 3 digits at step 1, but 3 and 7 are
-    # units in Z_2, so the answer is known without it
+    # 3 and 7 are units in Z_2, so the first answer is known without an
+    # ordering; the second needs one, which takes no precision on balls
     argv = ["member", "--set", "p=2; balls: 0+p^1, 3+p^3", "--precision", "3"]
     code, out = run_cli(argv + ["--poly", "1/3*x^12 + 5/7*x"], capsys)
     assert code == 0 and json.loads(out)["member"] is True
     code, out = run_cli(argv + ["--poly", "1/6*x^12 + 5/7*x"], capsys)
-    assert code == 3
-    assert json.loads(out)["error"] == "PrecisionExhausted"
+    assert code == 0
+    argv[-1] = "32"
+    assert run_cli(argv + ["--poly", "1/6*x^12 + 5/7*x"], capsys) == (0, out)
+    assert json.loads(out)["member"] is False
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["ordering", "--set", f"p={MERSENNE_61}; balls: 5+p^1", "--length", "3"],
+     "points", [5, 5 + MERSENNE_61, 5 + 2 * MERSENNE_61]),
+    (["basis", "--adelic", f"default=Zp; p={MERSENNE_61}; balls: 0+p^0", "--degree", "2"],
+     "lc_denominators", [1, 1, 2]),
+    (["charideal", "--adelic", f"default=Zp; p={MERSENNE_61}; balls: 5+p^1, 6+p^2",
+      "--degree", "3"], "factored", {"2": 1, "3": 1, str(MERSENNE_61): 2}),
+], ids=["ordering", "basis", "charideal"])
+def test_ball_set_with_large_prime_answers_quickly(capsys, argv, key, expected):
+    # neither parsing nor ordering may enumerate the p residues of a ball
+    import time
+    start = time.perf_counter()
+    code, out = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)[key] == expected
+
+
+_BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
+
+
+@pytest.mark.parametrize("verb, request_obj", [
+    ("approx", {"set": [], "targets": {}}),  # was an AttributeError traceback
+    ("approx", {"set": {"default": "Zp", "tracked": []}, "targets": {}}),  # AttributeError
+    ("expand", {"p": 2, "set": 5, "m": 1, "table": {"0": 0, "1": 1}, "N": 4}),  # TypeError
+    ("expand", {"p": 2, "set": {"p": 2, "balls": [5]}, "m": 1,
+                "table": {"0": 0, "1": 1}, "N": 4}),  # TypeError
+    ("expand", {"p": 2, "set": {"p": 2, "balls": 5}, "m": 1,
+                "table": {"0": 0, "1": 1}, "N": 4}),  # TypeError
+    ("approx", {"set": {"default": "Zp", "tracked": {"2": []}}, "targets": {}}),
+    ("approx", []),  # a request that is not an object: TypeError
+], ids=["set-list", "tracked-list", "set-int", "ball-int", "balls-int", "tracked-set-list",
+        "request-list"])
+def test_request_of_wrong_shape_exit_code(tmp_path, capsys, verb, request_obj):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(request_obj))
+    code, out = run_cli([verb, "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("components", [
+    {"2": [[1, 1.5]]},  # the radius was truncated to 1
+    {"2": [[0.5, 1]]},  # float centre was accepted
+    {"2": [["1/2", 1]]},  # string centre was accepted
+    {"2": [[{"num": 1.5, "den": 2}, 1]]},  # TypeError traceback
+    [["2", [[1, 1]]]],  # AttributeError traceback
+], ids=["radius-float", "centre-float", "centre-string", "centre-num-float",
+        "components-list"])
+def test_scale_refuses_inexact_input(tmp_path, capsys, components):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"components": components}))
+    code, out = run_cli(["scale", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"

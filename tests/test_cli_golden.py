@@ -95,6 +95,17 @@ def test_golden(name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+def test_step_undecided_case_reports_greedy_w5():
+    # the exit-3 detail names w(5) = 4 of the closed form, which must be the
+    # greedy search's value at 32 digits
+    from padelic.sets import parse_adelic
+    from oracles import greedy_ball_ordering
+    set_dsl = CASES["basis_deep_p2_step_undecided"][2]
+    _, w = greedy_ball_ordering(parse_adelic(set_dsl).tracked[2], 5, 32)
+    assert (GOLDEN / "basis_deep_p2_step_undecided.out").read_text().count(
+        f"precision 3 below w(5) = {w[5]}") == 1 and w[5] == 4
+
+
 def _write(names) -> None:
     """Write the expected files of the named cases, or of every case."""
     unknown = set(names) - set(CASES)

@@ -190,7 +190,7 @@ def test_regular_basis_matches_per_degree_oracle(a, degree, n_prec):
 
 def test_regular_basis_runs_one_search_per_prime(monkeypatch):
     searches = []
-    for name in ("_p_ordering_balls", "_p_ordering_finite"):
+    for name in ("_ordering_steps",):
         def counted(s, n_prec, search=getattr(padelic.ordering, name)):
             searches.append(s.prime)
             return search(s, n_prec)

@@ -1,4 +1,4 @@
-"""Greedy p-orderings against brute-force oracles, plus the local bases."""
+"""p-orderings against the greedy search and brute-force oracles, plus the local bases."""
 from __future__ import annotations
 
 import math
@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padelic.ordering
 from padelic.errors import LengthExceedsSet, PrecisionExhausted
 from padelic.ordering import (basis_rational,
                               local_membership, p_ordering, product_poly,
@@ -17,7 +18,7 @@ from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
-from oracles import membership_at_points
+from oracles import greedy_ball_ordering, membership_at_points
 
 
 def oracle_w_finite(elems, p):
@@ -204,13 +205,35 @@ def test_local_membership_matches_fraction_values(p, shape, seed):
         assert local_membership(f, s) == expected
 
 
-def test_local_membership_unit_denominator_builds_no_ordering():
-    # ordering this set needs more than 3 digits at step 1; a denominator
-    # prime to 2 decides membership without it
+def test_local_membership_unit_denominator_builds_no_ordering(monkeypatch):
+    # 3 digits are fewer than the greedy search needs to decide step 1 here;
+    # the closed form needs none and must agree with the search at 32
     s = CompactSet.from_balls(2, [(0, 1), (3, 3)])
-    with pytest.raises(PrecisionExhausted):
-        p_ordering(s, 12, 3)
+    o = p_ordering(s, 12, 3)
+    assert (list(o.points), list(o.w)) == greedy_ball_ordering(s, 12, 32)
+    f = RatPoly.make([0] * 12 + [Fraction(1, 6)])
+    assert local_membership(f, s, 3) is membership_at_points(f, s, 32) is False
+    # a denominator prime to 2 decides membership without any ordering
+    def no_ordering(*args):
+        raise AssertionError("p_ordering called")
+    monkeypatch.setattr(padelic.ordering, "p_ordering", no_ordering)
     assert local_membership(RatPoly.make([0, Fraction(5, 7)] + [0] * 10 + [Fraction(1, 3)]),
                             s, 3)
-    with pytest.raises(PrecisionExhausted):
-        local_membership(RatPoly.make([0] * 12 + [Fraction(1, 6)]), s, 3)
+
+
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.integers(0, 7 ** 4), st.integers(0, 4)),
+                min_size=1, max_size=3),
+       st.integers(0, 25))
+@settings(max_examples=100, deadline=None)
+def test_ball_ordering_matches_greedy_search(p, balls, length):
+    s = CompactSet.from_balls(p, balls)
+    o = p_ordering(s, length)
+    assert (list(o.points), list(o.w)) == greedy_ball_ordering(s, length)
+
+
+def test_ball_ordering_needs_no_precision():
+    s = CompactSet.from_balls(3, [(1, 1), (2, 5)])
+    low, high = p_ordering(s, 30, 1), p_ordering(s, 30, 64)
+    assert (low.points, low.w) == (high.points, high.w)
+    assert max(low.w) > 1
