@@ -4,7 +4,7 @@ The basis construction follows the local-to-global recipe: for each degree n
 collect the finitely many primes whose component meets at most n residues
 modulo p, CRT-combine the local rational lifts modulo p, then apply a Bezout
 adjustment so the leading coefficient is exactly 1 over the factorial-like
-denominator.  One ``LocalLifts`` per prime serves every degree of a call: the
+denominator.  One ``POrdering`` per prime serves every degree of a call: the
 ordering and the product polynomial are extended, never rebuilt.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
-from .ordering import LocalLifts, local_membership
+from .ordering import POrdering, local_membership
 from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p
@@ -55,14 +55,14 @@ class BasisFamily:
 
 
 class _Locals(dict):
-    """prime -> the LocalLifts of the set's component there, made on first use."""
+    """prime -> the POrdering of the set's component there, made on first use."""
 
     def __init__(self, a: AdelicSet, n_prec: int):
         super().__init__()
         self.set, self.precision = a, n_prec
 
-    def __missing__(self, p: int) -> LocalLifts:
-        out = self[p] = LocalLifts(self.set.component(p), self.precision)
+    def __missing__(self, p: int) -> POrdering:
+        out = self[p] = POrdering(self.set.component(p), self.precision)
         return out
 
 
@@ -74,7 +74,7 @@ def _component_w(a: AdelicSet, p: int, n: int, local: _Locals) -> int:
     if comp.is_finite() and len(comp.finite) <= n:
         raise SetTooSmall(
             f"component at {p} has {len(comp.finite)} elements, degree {n} needs more")
-    return local[p].w(n)
+    return local[p].extend(n).w[n]
 
 
 def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:

@@ -24,6 +24,12 @@ and u_k the unit part of g_k(a_k),
 satisfies H(x) = p^W S(x) mod p^(N + W) at every domain point x: there
 p^w(k) divides g_k(x), so knowing u_k^-1 modulo p^N is enough.  H is built
 once per certificate; each test point is then one Horner pass.
+
+The residues, the powers p^w(k) and the u_k^-1 belong to the series'
+``POrdering``, which builds them on first use and keeps them.  ``expand``
+orders its domain once and pulls further steps from the same ordering as
+the series grows; ``evaluate`` and ``expand_in_basis`` read the tables the
+expansion already built.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, INF, PAdicInt, Rat, residue, valp
 from .polys import horner_mod
-from .sets import CompactSet, residues
+from .sets import CompactSet, count_residues, residues
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,9 @@ class StepFunction:
     def __post_init__(self):
         if self.prime != self.domain.prime:
             raise ValueError(f"{self.prime}-adic function on a {self.domain.prime}-adic domain")
-        keys = residues(self.domain, self.modulus_exp)
-        if set(self.table) != keys:
+        # count before enumerating: a large p has too many residues to list
+        if (len(self.table) != count_residues(self.domain, self.modulus_exp)
+                or set(self.table) != residues(self.domain, self.modulus_exp)):
             raise ValueError("table keys must be exactly the domain residues")
         mod = self.prime ** self.precision
         if any(not 0 <= v < mod for v in self.table.values()):
@@ -92,44 +99,6 @@ class MahlerSeries:
         return len(self.coeffs)
 
 
-class _BasisEvaluator:
-    """Modular evaluation of the ordering basis polynomials f_k at domain points.
-
-    Points and arguments are reduced modulo p^(N + max w + 1).  A difference of
-    two domain points has valuation at most max w, so every valuation and every
-    unit modulo p^N that the values depend on survives the reduction.
-    """
-
-    def __init__(self, o: POrdering, n_prec: int):
-        p = o.prime
-        self.mod = p ** (n_prec + max(o.w) + 1)
-        self.points = [residue(a, self.mod) for a in o.points]
-        small = p ** n_prec
-        self._pw = [p ** w for w in o.w]  # p^w_k
-        self._pw_mod = [pw * small for pw in self._pw]  # p^(w_k + N); p^N at k = 0
-        self._dinv = [1]
-        for k in range(1, len(self.points)):
-            unit = 1
-            for j in range(k):
-                diff = self.points[k] - self.points[j]
-                while diff % p == 0:
-                    diff //= p
-                unit = unit * diff % small
-            self._dinv.append(pow(unit, -1, small))
-
-    def values(self, x: Rat, n: int) -> List[int]:
-        """[f_k(x) mod p^N for k = 0..n]; x must be a domain element."""
-        x = residue(x, self.mod)
-        pw, pw_mod, dinv, points = self._pw, self._pw_mod, self._dinv, self.points
-        small, top = pw_mod[0], pw_mod[n]
-        out = [1]
-        prefix = 1
-        for k in range(1, n + 1):
-            prefix = prefix * ((x - points[k - 1]) % top) % top
-            out.append(prefix % pw_mod[k] // pw[k] * dinv[k] % small)
-        return out
-
-
 def _default_length_cap(phi: StepFunction) -> int:
     p, m = phi.prime, phi.modulus_exp
     n = phi.precision
@@ -162,18 +131,17 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
     if finite:
         ord_prec = max(n_prec, cap + 2, 1 + max(
             sum(valp(x - y, p) for y in domain.finite if y != x) for x in domain.finite))
-    o = _ensure_ordering(domain, o, min(cap, 15), ord_prec)
-    evaluator = _BasisEvaluator(o, n_prec)
+    own = p_ordering(domain, 0, ord_prec)
+    if o is not None and own.extend(o.length()).points[:len(o.points)] != o.points:
+        raise ValueError("supplied ordering is not the canonical greedy ordering")
+    o = own
     coeffs: List[int] = []
     small = p ** n_prec
     run = 0
     n = 0
     while n <= cap:
-        if n > o.length():
-            o = _ensure_ordering(domain, o, min(cap, 2 * o.length()), ord_prec)
-            evaluator = _BasisEvaluator(o, n_prec)
-        a_n = o.points[n]
-        fvals = evaluator.values(a_n, n)
+        a_n = o.extend(n).points[n]
+        fvals = o.basis_values(a_n, n, n_prec)
         c = phi.value_at(a_n) - sum(ck * fk for ck, fk in zip(coeffs, fvals))
         c %= small
         coeffs.append(c)
@@ -182,7 +150,7 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
         if done_finite or (run >= run_target and run % run_target == 0):
             series = MahlerSeries(
                 ordering=o, coeffs=tuple(coeffs), precision=n_prec, certified=False)
-            if _certify(series, phi, evaluator):
+            if _certify(series, phi):
                 depth = n_prec + (o.w[n] if n else 0)
                 return MahlerSeries(ordering=o, coeffs=tuple(coeffs),
                                     precision=n_prec, certified=True,
@@ -194,17 +162,7 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
     raise CertificateFailed(f"no certificate after {cap + 1} coefficients")
 
 
-def _ensure_ordering(domain: CompactSet, o: Optional[POrdering], length: int,
-                     n_prec: int) -> POrdering:
-    if o is not None and o.length() >= length:
-        return o
-    longer = p_ordering(domain, max(length, o.length() if o else 0), n_prec)
-    if o is not None and longer.points[:len(o.points)] != o.points:
-        raise ValueError("supplied ordering is not the canonical greedy ordering")
-    return longer
-
-
-def _certify(s: MahlerSeries, phi: StepFunction, evaluator: _BasisEvaluator) -> bool:
+def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
     """Exact check that the partial sum matches phi to p^-N everywhere.
 
     The partial sum is folded into the integer polynomial H of the module
@@ -212,17 +170,18 @@ def _certify(s: MahlerSeries, phi: StepFunction, evaluator: _BasisEvaluator) -> 
     p^(N + W).
     """
     top = s.length() - 1
-    pw = evaluator._pw
-    p_w, mod = pw[top], evaluator._pw_mod[top]
+    res, pw, uinv = s.ordering.basis_tables(top, s.precision)
+    p_w = pw[top]
+    mod = p_w * s.ordering.prime ** s.precision
     # H = e_0 + (x - a_0)(e_1 + (x - a_1)(e_2 + ...)) with e_k = c_k u_k^-1 p^(W - w_k),
     # multiplied out from the inside into coefficients h, lowest degree first
     h: List[int] = []
     for k in range(top, -1, -1):
-        a = evaluator.points[k]
+        a = res[k]
         h = [0] + h  # h <- h * (x - a) + e_k
         for i in range(len(h) - 1):
             h[i] = (h[i] - a * h[i + 1]) % mod
-        h[0] = (h[0] + s.coeffs[k] * evaluator._dinv[k] * (p_w // pw[k])) % mod
+        h[0] = (h[0] + s.coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
     h.reverse()
     for x in _test_points(phi, top):
         if (horner_mod(h, residue(x, mod), mod) - p_w * phi.value_at(x)) % mod:
@@ -256,8 +215,7 @@ def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:
         if out_prec < 1:
             raise PrecisionExhausted("argument has too few digits for this series")
         x = x.residue
-    evaluator = _BasisEvaluator(s.ordering, s.precision)
-    fvals = evaluator.values(x, s.length() - 1)
+    fvals = s.ordering.basis_values(x, s.length() - 1, s.precision)
     total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % p ** out_prec
     return PAdicInt(p, total, out_prec)
 
@@ -330,14 +288,13 @@ def expand_in_basis(phi: StepFunction, basis, n_prec: int = None) -> List[int]:
     top = s.length() - 1
     if len(basis) < s.length():
         raise ValueError(f"need {s.length()} basis polynomials, got {len(basis)}")
-    evaluator = _BasisEvaluator(o, s.precision)
     # t[n][k]: basis[n] = sum_k t[n][k] f_k, solved at the ordering points
     t: List[List[int]] = []
     for n in range(top + 1):
         row = []
         for j in range(n + 1):
             r = residue(basis[n](Fraction(o.points[j])), small)
-            fv = evaluator.values(o.points[j], j)
+            fv = o.basis_values(o.points[j], j, s.precision)
             r = (r - sum(row[k] * fv[k] for k in range(j))) % small
             row.append(r)
         t.append(row)

@@ -21,20 +21,21 @@ PrecisionExhausted: a step valuation at n_prec digits or more is refused.
 
 Either ordering is a stream of steps (a_n, w(n)), and step n never depends
 on how many steps follow, so every prefix of an ordering is itself the
-ordering of that length.  ``LocalLifts`` keeps one stream per set together
-with the running product g_n = prod_{k<n} (x - a_k) modulo p^N, so a caller
-that needs the lifts of every degree orders the set once.
+ordering of that length.  ``POrdering`` is that stream, pulled only as far as
+a caller asks: it also keeps the running product g_n = prod_{k<n} (x - a_k)
+modulo p^N behind the lifts, and the residues, powers p^w(k) and unit
+inverses behind the basis values, so each set is ordered once however many
+degrees or evaluations follow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import count, islice
 from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
-from .padic import DEFAULT_PRECISION, residue, valp
+from .padic import DEFAULT_PRECISION, Rat, residue, valp
 from .polys import RatPoly, horner_mod
 from .sets import CompactSet
 from .utils import v_of_factorial
@@ -43,27 +44,114 @@ Point = Union[int, Fraction]
 Step = Tuple[Point, int]  # (a_n, w(n))
 
 
-@dataclass(frozen=True)
 class POrdering:
-    """A p-ordering a_0..a_L of a compact set with its valuation sequence w."""
+    """The p-ordering a_0, a_1, ... of a compact set, pulled as far as asked.
 
-    prime: int
-    set: CompactSet
-    points: Tuple[Point, ...]
-    w: Tuple[int, ...]
-    precision: int
+    ``points`` and ``w`` hold the steps pulled so far; ``extend(n)`` pulls
+    the stream on to a_n, and an earlier prefix never changes.  The same
+    object serves every consumer: ``lift(n)`` reads the running product
+    g_n = prod_{k<n} (x - a_k) modulo p^N, and ``basis_values`` the tables
+    of ``basis_tables``, which are built only when first asked for.
+    """
+
+    def __init__(self, s: CompactSet, n_prec: int):
+        self.prime, self.set, self.precision = s.prime, s, n_prec
+        self.points: Tuple[Point, ...] = ()
+        self.w: Tuple[int, ...] = ()
+        self._steps = _ordering_steps(s, n_prec)
+        self._g = [1]  # g_k modulo p^N, k = len(self._g) - 1
+        self._table_prec = n_prec
+        self._res: List[int] = []
+        self._pw: List[int] = []
+        self._uinv: List[int] = []
 
     def length(self) -> int:
         return len(self.points) - 1
+
+    def extend(self, length: int) -> "POrdering":
+        """Pull steps until a_length is known; a finite set raises
+        LengthExceedsSet when it has too few elements."""
+        if length > self.length():
+            if self.set.is_finite() and length >= len(self.set.finite):
+                raise LengthExceedsSet(
+                    f"ordering of length {length} from a set of {len(self.set.finite)} elements")
+            points, w = zip(*islice(self._steps, length - self.length()))
+            self.points += points
+            self.w += w
+        return self
 
     def point_residues(self, depth: int = None) -> List[int]:
         depth = self.precision if depth is None else depth
         mod = self.prime ** depth
         return [residue(a, mod) for a in self.points]
 
+    def lift(self, n: int) -> RatPoly:
+        """``rational_lift`` at degree n, pulling the ordering as far as n.
+
+        Raises PrecisionExhausted when N is below w(n).
+        """
+        wn = self.extend(n).w[n]
+        if wn > self.precision:
+            raise PrecisionExhausted(f"precision {self.precision} below w({n}) = {wn}")
+        if len(self._g) > n + 1:
+            self._g = [1]  # a lower degree than the last: multiply out afresh
+        mod = self.prime ** self.precision
+        for a in self.points[len(self._g) - 1:n]:
+            self._g = _times_linear(self._g, residue(a, mod), mod)
+        mod = self.prime ** wn
+        h = [c % mod for c in self._g[:-1]]
+        h.append(1)  # g is monic; keep the lift monic
+        return RatPoly.make(h).scale(Fraction(1, mod))
+
+    def basis_tables(self, n: int, n_prec: int) -> Tuple[List[int], List[int], List[int]]:
+        """Residues of a_0..a_n, p^w(k) and u_k^-1 modulo p^N for k <= n.
+
+        u_k is the unit part of g_k(a_k), read from that product modulo
+        p^(N + w(k)).  Ball points are exact integers; a finite set's step
+        valuations stay below its precision P, so its points are kept modulo
+        p^(N + P).  The tables grow with the ordering and are rebuilt only
+        for an N above every N asked for before.
+        """
+        self.extend(n)
+        if n_prec > self._table_prec:
+            self._table_prec, self._res, self._pw, self._uinv = n_prec, [], [], []
+        p, small = self.prime, self.prime ** self._table_prec
+        if self.set.is_finite():
+            mod = small * p ** self.precision
+            self._res.extend(residue(a, mod) for a in self.points[len(self._res):n + 1])
+        else:
+            self._res.extend(self.points[len(self._res):n + 1])
+        res = self._res
+        for k in range(len(self._uinv), n + 1):
+            pw = p ** self.w[k]
+            mod = pw * small
+            g = 1
+            for b in res[:k]:
+                g = g * ((res[k] - b) % mod) % mod
+            self._pw.append(pw)
+            self._uinv.append(pow(g // pw, -1, small))
+        return res, self._pw, self._uinv
+
+    def basis_values(self, x: Rat, n: int, n_prec: int) -> List[int]:
+        """[f_k(x) mod p^N for k = 0..n] at a domain point x.
+
+        g_k(x) is divisible by p^w(k) there, so f_k(x) is g_k(x) mod
+        p^(N + w(k)), divided by p^w(k), times u_k^-1.
+        """
+        res, pw, uinv = self.basis_tables(n, n_prec)
+        small = self.prime ** n_prec
+        top = pw[n] * small
+        x = residue(x, top)
+        out = [1]
+        prefix = 1
+        for k in range(1, n + 1):
+            prefix = prefix * ((x - res[k - 1]) % top) % top
+            out.append(prefix % (pw[k] * small) // pw[k] * uinv[k] % small)
+        return out
+
 
 def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
-    """The p-ordering of s with points a_0..a_length (see the module docstring).
+    """The p-ordering of s pulled to a_length (see the module docstring).
 
     A ball union needs no precision.  A finite set raises PrecisionExhausted
     when a step valuation reaches n_prec digits, and LengthExceedsSet when it
@@ -73,12 +161,7 @@ def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
         n_prec = DEFAULT_PRECISION
     if length < 0:
         raise ValueError("length must be >= 0")
-    if s.is_finite() and length >= len(s.finite):
-        raise LengthExceedsSet(
-            f"ordering of length {length} from a set of {len(s.finite)} elements")
-    steps = list(islice(_ordering_steps(s, n_prec), length + 1))
-    return POrdering(s.prime, s, tuple(a for a, _ in steps), tuple(v for _, v in steps),
-                     n_prec)
+    return POrdering(s, n_prec).extend(length)
 
 
 def _ordering_steps(s: CompactSet, n_prec: int) -> Iterator[Step]:
@@ -161,10 +244,7 @@ def rational_lift(o: POrdering, n: int) -> RatPoly:
     """
     if n > o.length():
         raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
-    g, mod = [1], o.prime ** o.precision
-    for a in o.points[:n]:
-        g = _times_linear(g, residue(a, mod), mod)
-    return _lift(g, o.prime, n, o.w[n], o.precision)
+    return o.lift(n)
 
 
 def _times_linear(g: List[int], a: int, mod: int) -> List[int]:
@@ -173,49 +253,6 @@ def _times_linear(g: List[int], a: int, mod: int) -> List[int]:
     out.extend((c - a * d) % mod for c, d in zip(g, g[1:]))
     out.append(g[-1])
     return out
-
-
-def _lift(g: List[int], p: int, n: int, wn: int, precision: int) -> RatPoly:
-    """h_n / p^w(n) from the monic g_n modulo p^precision, lowest degree first."""
-    if precision < wn:
-        raise PrecisionExhausted(f"precision {precision} below w({n}) = {wn}")
-    mod = p ** wn
-    h = [c % mod for c in g[:-1]]
-    h.append(1)  # g is monic; keep the lift monic
-    return RatPoly.make(h).scale(Fraction(1, mod))
-
-
-class LocalLifts:
-    """One p-ordering of a set, pulled a step at a time, and its lifts.
-
-    ``w(n)`` pulls the ordering only as far as step n, so a finite set's
-    PrecisionExhausted at step n surfaces when degree n is first asked for.
-    ``lift(n)`` is ``rational_lift`` of the ordering at degree n, read from
-    the product g_n modulo p^N that is advanced by one linear factor per
-    degree; like ``rational_lift`` it raises PrecisionExhausted when N is
-    below w(n).
-    """
-
-    def __init__(self, s: CompactSet, n_prec: int):
-        self.prime, self.precision = s.prime, n_prec
-        self._steps = _ordering_steps(s, n_prec)
-        self._mod = s.prime ** n_prec
-        self._points: List[Point] = []
-        self._w: List[int] = []
-        self._g = [1]  # g_k modulo p^N, k = number of factors taken so far
-
-    def w(self, n: int) -> int:
-        while len(self._w) <= n:
-            a, v = next(self._steps)
-            self._points.append(a)
-            self._w.append(v)
-        return self._w[n]
-
-    def lift(self, n: int) -> RatPoly:
-        wn = self.w(n)
-        for a in self._points[len(self._g) - 1:n]:
-            self._g = _times_linear(self._g, residue(a, self._mod), self._mod)
-        return _lift(self._g, self.prime, n, wn, self.precision)
 
 
 def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:

@@ -22,6 +22,10 @@ UNKNOWN = "unknown"
 FULL = "Zp"
 PZP = "pZp"
 
+#: Most balls a set may be given with.  The ball ordering recurses once per
+#: split, so many nested balls would exhaust the interpreter stack.
+MAX_BALLS = 256
+
 
 @dataclass(frozen=True)
 class CompactSet:
@@ -66,6 +70,8 @@ class CompactSet:
 
 def normalize(s: CompactSet) -> CompactSet:
     """Canonical form: disjoint balls sorted by (k, center), or deduped finite list."""
+    if s.balls is not None and len(s.balls) > MAX_BALLS:
+        raise ValueError(f"{len(s.balls)} balls given, at most {MAX_BALLS} allowed")
     p = s.prime
     if not _is_int(p) or not is_prime(p):
         raise ValueError(f"modulus {p!r} is not a prime")
@@ -128,11 +134,23 @@ def residues(s: CompactSet, m: int) -> set:
     return out
 
 
+def count_residues(s: CompactSet, m: int) -> int:
+    """len(residues(s, m)) without enumerating them.
+
+    The balls of a normalized set are disjoint, so a ball of radius k < m
+    meets p^(m-k) residues that no other ball meets, while a deeper ball
+    meets one residue, which other deep balls may share.
+    """
+    if s.is_finite():
+        return len(residues(s, m))
+    p = s.prime
+    deep = {c % p ** m for c, k in s.balls if k >= m}
+    return len(deep) + sum(p ** (m - k) for _, k in s.balls if k < m)
+
+
 def count_mod_p(s: CompactSet) -> int:
     """Number of residues the set meets modulo p."""
-    if s.balls and any(k == 0 for _, k in s.balls):
-        return s.prime  # a ball of radius 0 is Z_p
-    return len(residues(s, 1))
+    return count_residues(s, 1)
 
 
 def contains(s: CompactSet, x: PAdicInt):

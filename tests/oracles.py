@@ -14,7 +14,7 @@ from padelic.adelic import AdelicOrdering, AdelicPoly
 from padelic.approx import ApproxRequest
 from padelic.errors import NotFinitelyGenerated, PrecisionExhausted, SetTooSmall
 from padelic.globalbasis import BasisFamily, _xgcd, basis_prime_set, crt_combine
-from padelic.mahler import MahlerSeries, StepFunction, _BasisEvaluator
+from padelic.mahler import MahlerSeries, StepFunction
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly)
 from padelic.padic import DEFAULT_PRECISION, residue, valp
@@ -23,16 +23,15 @@ from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
 from padelic.utils import primes_up_to, v_of_factorial
 
 
-def certify_by_differences(s: MahlerSeries, phi: StepFunction,
-                           evaluator: _BasisEvaluator) -> bool:
+def certify_by_differences(s: MahlerSeries, phi: StepFunction) -> bool:
     """The forward-difference certificate: every Mahler coefficient of
     phi(c) - S(c + p^d t), t = 0..top, vanishes mod p^N on each class c mod p^d."""
     p, small = phi.prime, phi.prime ** s.precision
     top = s.length() - 1
-    domain = phi.domain
+    o, domain = s.ordering, phi.domain
     if domain.is_finite():
         for e in domain.finite:
-            fvals = evaluator.values(e, top)
+            fvals = o.basis_values(e, top, s.precision)
             total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % small
             if (total - phi.value_at(e)) % small:
                 return False
@@ -43,7 +42,7 @@ def certify_by_differences(s: MahlerSeries, phi: StepFunction,
         target = phi.table[c % p ** phi.modulus_exp]
         diffs = []
         for i in range(top + 1):
-            fvals = evaluator.values(c + step * i, top)
+            fvals = o.basis_values(c + step * i, top, s.precision)
             total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals))
             diffs.append((target - total) % small)
         for _ in range(top + 1):

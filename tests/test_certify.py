@@ -14,9 +14,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from padelic.errors import PrecisionExhausted
-from padelic.mahler import (MahlerSeries, StepFunction, _BasisEvaluator, _certify,
-                            expand)
-from padelic.ordering import basis_rational
+from padelic.mahler import MahlerSeries, StepFunction, _certify, expand
+from padelic.ordering import basis_rational, p_ordering
 from padelic.padic import residue
 from padelic.sets import CompactSet, residues
 
@@ -54,9 +53,8 @@ def test_pointwise_certificate_matches_difference_table(p, shape, n_prec, seed):
         full = expand(phi, None, n_prec)
     except PrecisionExhausted:
         assume(False)  # finite domains are ordered at len + 1 digits only
-    evaluator = _BasisEvaluator(full.ordering, n_prec)
-    assert _certify(full, phi, evaluator) is True
-    assert certify_by_differences(full, phi, evaluator) is True
+    assert _certify(full, phi) is True
+    assert certify_by_differences(full, phi) is True
     cases = [full.coeffs[:n] for n in range(1, full.length())]
     for _ in range(3):
         corrupted = list(full.coeffs)
@@ -66,7 +64,7 @@ def test_pointwise_certificate_matches_difference_table(p, shape, n_prec, seed):
         cases.append(corrupted[:rng.randrange(1, len(corrupted) + 1)])
     for coeffs in cases:
         s = _series(full, coeffs)
-        assert _certify(s, phi, evaluator) == certify_by_differences(s, phi, evaluator)
+        assert _certify(s, phi) == certify_by_differences(s, phi)
 
 
 def test_certificate_rejects_a_prefix_that_agrees_on_the_ordering_points():
@@ -75,20 +73,28 @@ def test_certificate_rejects_a_prefix_that_agrees_on_the_ordering_points():
     dom = CompactSet.zp(2)
     phi = StepFunction(2, dom, 2, {0: 1, 1: 6, 2: 3, 3: 0}, 4)
     full = expand(phi, None, 4)
-    evaluator = _BasisEvaluator(full.ordering, 4)
     for n in range(1, full.length()):
         s = _series(full, full.coeffs[:n])
-        assert _certify(s, phi, evaluator) == certify_by_differences(s, phi, evaluator)
+        assert _certify(s, phi) == certify_by_differences(s, phi)
         if any(full.coeffs[n:]):
-            assert not _certify(s, phi, evaluator)
+            assert not _certify(s, phi)
 
 
 def test_evaluator_values_match_exact_basis():
     dom = CompactSet.from_balls(3, [(1, 1), (5, 2)])
     full = expand(StepFunction(3, dom, 2, {r: r for r in residues(dom, 2)}, 5), None, 5)
-    evaluator = _BasisEvaluator(full.ordering, 5)
     top = full.length() - 1
+    # an ordering kept at 2 digits builds its tables again when asked for 5
+    low = p_ordering(dom, top, 2)
+    low.basis_values(1, top, 2)
     for x in (1, 5, 14, 22, 40, Fraction(1, 4)):
         exact = [residue(basis_rational(full.ordering, k)(Fraction(x)), 3 ** 5)
                  for k in range(top + 1)]
-        assert evaluator.values(x, top) == exact
+        assert full.ordering.basis_values(x, top, 5) == exact
+        assert low.basis_values(x, top, 5) == exact
+    # a finite set's rational and negative points keep N + w(n) digits
+    fin = p_ordering(CompactSet.from_finite(
+        3, [Fraction(1, 2), 5, -4, 0, 9, Fraction(7, 4), 2, 1]), 7, 6)
+    for x in fin.set.finite:
+        assert fin.basis_values(x, 7, 6) == [residue(basis_rational(fin, k)(x), 3 ** 6)
+                                             for k in range(8)]

@@ -339,6 +339,31 @@ def test_ball_set_with_large_prime_answers_quickly(capsys, argv, key, expected):
     assert code == 0 and json.loads(out)[key] == expected
 
 
+def test_expand_table_at_large_prime_is_refused_quickly(tmp_path, capsys):
+    # the table is counted against the residues of Z_p mod p before any is listed
+    import time
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": MERSENNE_61, "m": 1, "N": 4, "table": {"0": 1},
+                               "set": {"p": MERSENNE_61, "balls": [{"center": 0, "k": 0}]}}))
+    start = time.perf_counter()
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("count, expected", [(256, 0), (257, 2)])
+def test_ball_count_is_capped(capsys, count, expected):
+    # each ball 2^i + 2^(i+2) Z_2 sits one split deeper in the ordering's recursion
+    balls = ", ".join(f"{2 ** i}+p^{i + 2}" for i in range(count))
+    code, out = run_cli(["ordering", "--set", f"p=2; balls: {balls}", "--length", "21"],
+                        capsys)
+    assert code == expected
+    if expected == 0:
+        assert len(json.loads(out)["points"]) == 21
+    else:
+        assert json.loads(out)["error"] == "ValueError"
+
+
 _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
 
 

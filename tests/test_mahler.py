@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padelic.ordering
 from padelic.errors import NotCertified, PrecisionExhausted
 from padelic.mahler import (StepFunction, evaluate, expand,
                             expand_adelic, expand_in_basis, sup_norm_data)
 from padelic.adelic import adelic_ordering
-from padelic.ordering import basis_rational
+from padelic.ordering import basis_rational, p_ordering
 from padelic.padic import INF, PAdicInt, residue
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
 
@@ -141,6 +142,32 @@ def test_expand_adelic_componentwise():
     assert set(s.per_prime) == {2, 3}
     c1 = s.coefficient(1)
     assert set(c1) == {2, 3}
+
+
+def test_expand_runs_one_ordering_search(monkeypatch):
+    # 72 coefficients: an ordering searched again whenever it doubled from 15
+    # points would be searched at 15, 30, 60 and 120
+    searches = []
+
+    def counted(s, n_prec, search=padelic.ordering._ordering_steps):
+        searches.append(s.prime)
+        return search(s, n_prec)
+    monkeypatch.setattr(padelic.ordering, "_ordering_steps", counted)
+    rng = random.Random(1)
+    dom = CompactSet.zp(3)
+    s = expand(step(3, dom, 3, {r: rng.randrange(9) for r in residues(dom, 3)}, 2), None, 2)
+    assert s.length() == 72 and searches == [3]
+
+
+def test_expand_checks_a_supplied_ordering_and_leaves_it_alone():
+    dom = CompactSet.from_balls(2, [(0, 1), (3, 3)])
+    phi = step(2, dom, 3, {r: r for r in residues(dom, 3)}, 4)
+    o = p_ordering(dom, 5)
+    s = expand(phi, o, 4)
+    assert s.certified and s.ordering is not o and s.length() > 6
+    assert o.length() == 5 and s.ordering.points[:6] == o.points
+    with pytest.raises(ValueError, match="canonical"):
+        expand(phi, p_ordering(CompactSet.zp(2), 5), 4)
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 10 ** 6))

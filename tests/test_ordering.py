@@ -7,18 +7,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import padelic.ordering
 from padelic.errors import LengthExceedsSet, PrecisionExhausted
-from padelic.ordering import (basis_rational,
-                              local_membership, p_ordering, product_poly,
-                              rational_lift)
+from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
+                              product_poly, rational_lift)
 from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
-from oracles import greedy_ball_ordering, membership_at_points
+from oracles import greedy_ball_ordering, membership_at_points, rational_lift_by_fractions
 
 
 def oracle_w_finite(elems, p):
@@ -203,6 +202,33 @@ def test_local_membership_matches_fraction_values(p, shape, seed):
         except PrecisionExhausted:
             continue
         assert local_membership(f, s) == expected
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
+       st.sampled_from([3, 8, 32]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_lifts_asked_in_any_order_match_fractions(p, shape, n_prec, seed):
+    rng = random.Random(seed)
+    s = _membership_domain(p, shape, rng)
+    top = min(12, len(s.finite) - 1) if s.is_finite() else 12
+    try:
+        reference = p_ordering(s, top, n_prec)
+    except PrecisionExhausted:
+        assume(False)
+    o, pulled = p_ordering(s, top, n_prec), POrdering(s, n_prec)
+
+    def outcome(lift, n):
+        try:
+            return lift(n)
+        except PrecisionExhausted as exc:
+            return str(exc)
+
+    for n in [rng.randrange(top + 1) for _ in range(15)]:
+        expected = outcome(lambda n: rational_lift_by_fractions(reference, n), n)
+        assert outcome(lambda n: rational_lift(o, n), n) == expected
+        assert outcome(pulled.lift, n) == expected
+    with pytest.raises(ValueError):
+        rational_lift(o, top + 1)
 
 
 def test_local_membership_unit_denominator_builds_no_ordering(monkeypatch):
