@@ -3,10 +3,9 @@ from .adelic import (AdelicOrdering, AdelicPoint, AdelicPoly, adelic_basis,
                      adelic_membership, adelic_ordering, conjugate_poly,
                      poly_as_adelic, scale_into_z)
 from .approx import ApproxCertificate, ApproxRequest, approximate
-from .errors import (CertificateFailed, DegreeOverflow, EmptySet, FactorLimitExceeded,
-                     LengthExceedsSet, NoAdelicOrdering, NotCertified,
-                     NotFinitelyGenerated, PadelicError, PrecisionExhausted,
-                     SetTooSmall)
+from .errors import (CertificateFailed, EmptySet, FactorLimitExceeded, LengthExceedsSet,
+                     NoAdelicOrdering, NotCertified, NotFinitelyGenerated,
+                     PadelicError, PrecisionExhausted, SetTooSmall)
 from .globalbasis import (BasisFamily, CharIdeal, char_ideal, crt_combine,
                           global_membership, regular_basis)
 from .mahler import (AdelicMahlerSeries, MahlerSeries, StepFunction, evaluate,

@@ -11,15 +11,8 @@ f_n = prod_{k<n} (x - a_k) / d_n and d_n = prod_{k<n} (a_n - a_k), it is
 e_0 + (x - a_0)(e_1 + (x - a_1)(e_2 + ...)) with e_n = c_n / d_n, one pass of
 O(L^2) multiplications over a common denominator of the e_n.
 
-Closeness is checked pointwise in integers, by the unimodularity argument of
-the ``mahler`` module docstring.  On a class c + p^d Z_p of a ball domain
-(d = max(m, deepest ball radius)) the values of t -> phi(c) - f(c + p^d t)
-at t = 0..deg f and their forward differences (its Mahler coefficients) are
-integer combinations of each other, so all differences have valuation >= k
-exactly when all values do, and then the bound holds on the whole class.
-With f = F/D, F integral, v_p(phi(x) - f(x)) >= k exactly when
-F(x) - D phi(x) = 0 mod p^(k + v_p(D)); each value is one Horner pass on the
-residue of x.  A finite domain is checked at its elements.
+Closeness is checked pointwise in integers by ``mahler._first_miss``, the
+certificate of the ``mahler`` module docstring, at each target's k.
 """
 from __future__ import annotations
 
@@ -30,11 +23,11 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import CertificateFailed
 from .globalbasis import crt_combine, global_membership
-from .mahler import StepFunction, expand
+from .mahler import StepFunction, _first_miss, expand
 from .ordering import POrdering
-from .padic import DEFAULT_PRECISION, residue, valp
-from .polys import RatPoly, horner_mod
-from .sets import AdelicSet, residues
+from .padic import DEFAULT_PRECISION
+from .polys import RatPoly
+from .sets import AdelicSet
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,7 @@ def _build(r: ApproxRequest, mult: int) -> RatPoly:
     for p, (phi, k) in sorted(r.targets.items()):
         series = expand(phi, None, min(mult * k, phi.precision))
         parts.append((p, k_top, _newton_sum(series.ordering, series.coeffs)))
-    cap = max(f.degree() for _, _, f in parts)
-    return crt_combine(parts, max(cap, 0))
+    return crt_combine(parts)
 
 
 def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> RatPoly:
@@ -127,23 +119,7 @@ def _verify(f: RatPoly, r: ApproxRequest):
     """Exact per-target closeness check; None when every target passes."""
     den, num = f.integer_form()
     for p, (phi, k) in r.targets.items():
-        mod = p ** (k + valp(den, p))
-        coeffs = [c % mod for c in num]
-
-        def misses(x: int, value: int) -> bool:
-            return (horner_mod(coeffs, x, mod) - den * value) % mod != 0
-
-        domain = phi.domain
-        if domain.is_finite():
-            for e in domain.finite:
-                if misses(residue(e, mod), phi.value_at(e)):
-                    return f"target at {p} misses element {e}"
-            continue
-        depth = max(phi.modulus_exp, domain.max_ball_exponent())
-        step = p ** depth
-        top = max(f.degree(), 0)
-        for c in residues(domain, depth):
-            target = phi.value_at(c)
-            if any(misses((c + step * i) % mod, target) for i in range(top + 1)):
-                return f"target at {p} misses ball {c} + {p}^{depth} Z_{p}"
+        miss = _first_miss(num, den, phi, k)
+        if miss is not None:
+            return f"target at {p} misses {miss}"
     return None

@@ -13,19 +13,16 @@ from typing import Any, Dict, Tuple
 
 from .adelic import adelic_ordering, scale_into_z
 from .approx import ApproxRequest, approximate
-from .errors import (CertificateFailed, NoAdelicOrdering, NotCertified,
-                     NotFinitelyGenerated, PadelicError, PrecisionExhausted)
+from .errors import CertificateFailed, NotCertified, PadelicError, PrecisionExhausted
 from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
 from .polys import format_poly, parse_poly
-from .sets import (AdelicSet, _json_int, _json_list, _json_object, adelic_from_json,
-                   adelic_to_json, parse_adelic, parse_set, rational_from_json,
-                   set_from_json)
+from .sets import (AdelicSet, CompactSet, _json_int, _json_list, _json_object,
+                   adelic_from_json, adelic_to_json, parse_adelic, parse_set,
+                   rational_from_json, set_from_json)
 
-VALIDATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, NotFinitelyGenerated,
-                     NoAdelicOrdering)
 DIAGNOSTIC_ERRORS = (PrecisionExhausted, CertificateFailed, NotCertified)
 
 
@@ -61,7 +58,7 @@ def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
 
 
 def _cmd_ordering(args) -> Dict[str, Any]:
-    s = parse_set(args.set)
+    s = _set_arg(args)
     if args.length < 1:
         raise ValueError("--length counts points and must be >= 1")
     o = p_ordering(s, args.length - 1, args.precision)
@@ -93,7 +90,7 @@ def _cmd_member(args) -> Dict[str, Any]:
     if args.adelic is not None:
         member = global_membership(f, parse_adelic(args.adelic), args.precision)
     else:
-        member = local_membership(f, parse_set(args.set), args.precision)
+        member = local_membership(f, _set_arg(args), args.precision)
     return {"member": member, "poly": format_poly(f)}
 
 
@@ -145,6 +142,12 @@ def _scale_ball(ball: Any, p: str) -> Tuple[Fraction, int]:
     return rational_from_json(ball[0], f"centre at {p}"), _json_int(ball[1], f"radius at {p}")
 
 
+def _set_arg(args) -> CompactSet:
+    if args.set is None:
+        raise ValueError("this verb requires --set")
+    return parse_set(args.set)
+
+
 def _adelic_arg(args) -> AdelicSet:
     if args.adelic is None:
         raise ValueError("this verb requires --adelic")
@@ -192,10 +195,7 @@ def run(argv=None) -> int:
     except DIAGNOSTIC_ERRORS as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 3
-    except VALIDATION_ERRORS as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
-        return 2
-    except PadelicError as exc:
+    except (ValueError, KeyError, PadelicError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     _emit(result, args.out)

@@ -21,10 +21,6 @@ class SetTooSmall(PadelicError):
     """A finite component has too few elements for the requested degree."""
 
 
-class DegreeOverflow(PadelicError):
-    """An input polynomial exceeds the declared degree cap."""
-
-
 class NotFinitelyGenerated(PadelicError):
     """The characteristic module at this degree is not a fractional ideal."""
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
+from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
 from .padic import DEFAULT_PRECISION, residue, valp
 from .polys import RatPoly
@@ -101,7 +101,7 @@ def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
     return CharIdeal(degree=n, factored=factored)
 
 
-def crt_combine(parts: Sequence[Tuple[int, int, RatPoly]], degree_cap: int) -> RatPoly:
+def crt_combine(parts: Sequence[Tuple[int, int, RatPoly]]) -> RatPoly:
     """One rational polynomial congruent to each part modulo p^k in Z_(p)[x].
 
     Each part is (p, k, f_p); the result f satisfies f = f_p + p^k * Z_(p)[x]
@@ -114,8 +114,6 @@ def crt_combine(parts: Sequence[Tuple[int, int, RatPoly]], degree_cap: int) -> R
     if len(set(primes)) != len(primes):
         raise ValueError("part primes must be distinct")
     width = max(f.degree() + 1 for _, _, f in parts)
-    if width - 1 > degree_cap:
-        raise DegreeOverflow(f"parts reach degree {width - 1} > cap {degree_cap}")
     out: List[Fraction] = []
     for i in range(width):
         cs = {p: (f.coeffs[i] if i <= f.degree() else Fraction(0)) for p, _, f in parts}
@@ -159,6 +157,8 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
     """Z-basis with one polynomial of each degree up to max_degree."""
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
+    if max_degree < 0:
+        raise ValueError("degree must be >= 0")
     local = _Locals(a, n_prec)
     polys: List[RatPoly] = []
     for n in range(max_degree + 1):
@@ -170,7 +170,7 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
             polys.append(RatPoly.x_power(n))
             continue
         parts = [(p, 1, local[p].lift(n)) for p in p_set]
-        f_n = crt_combine(parts, n)
+        f_n = crt_combine(parts)
         assert f_n.degree() == n  # lifts are monic/p^w, so the top residue is a unit
         # Bezout step: move the leading coefficient to exactly 1/b (the pair
         # (u, v) from _xgcd fixes the output; another pair changes every poly)

@@ -1,29 +1,36 @@
 """Series expansion of locally constant functions in p-ordering bases.
 
 Coefficients follow the recursion c_n = phi(a_n) - sum_{k<n} c_k f_k(a_n),
-computed modulo p^N throughout.  A truncated series S = sum_{k<=top} c_k f_k
-is *certified* by an exact sup-norm argument.  Let d = max(m, deepest ball
-radius), so phi is constant on every class c + p^d Z_p of a ball domain.  The
-certificate asks that S(c + p^d i) = phi(c) mod p^N for i = 0..top in every
-class.  t -> S(c + p^d t) is a polynomial of degree <= top that maps Z_p
-into Z_p, so its Mahler (binomial-basis) coefficients are the forward
-differences at t = 0 of its values at t = 0..top.  Those values lie in
-phi(c) + p^N Z_p exactly when the differences of phi(c) - S(c + p^d t) all
-vanish modulo p^N: the map from values to differences is an integer
-lower-triangular matrix with ones on the diagonal, hence unimodular.  The
-difference then has valuation >= N on the whole ball, which certifies
-agreement to p^-N at every residue of the domain at any depth.  A finite
-domain is checked at its elements.
+computed modulo p^N throughout.
 
-The test points are evaluated through one integer polynomial.  With
+Both results of the paper are certified by one exact pointwise argument,
+``_first_miss``.  Let f = F/D with F an integer polynomial of degree <= top
+and D > 0, and let d = max(m, deepest ball radius), so phi is constant on
+every class c + p^d Z_p of a ball domain.  The check asks that
+F(c + p^d t) = D phi(c) mod p^(k + v_p(D)), that is f(c + p^d t) = phi(c)
+mod p^k, for t = 0..top in every class.  t -> f(c + p^d t) is a polynomial
+of degree <= top that maps Z_p into Z_p, so its Mahler (binomial-basis)
+coefficients are the forward differences at t = 0 of its values at
+t = 0..top.  Those values lie in phi(c) + p^k Z_p exactly when the
+differences of phi(c) - f(c + p^d t) all vanish modulo p^k: the map from
+values to differences is an integer lower-triangular matrix with ones on
+the diagonal, hence unimodular.  The difference then has valuation >= k on
+the whole ball, which certifies agreement to p^-k at every residue of the
+domain at any depth.  A finite domain is checked at its elements.  The
+certificate of a truncated series S = sum_{n<=top} c_n f_n (``_certify``)
+is this check with k = N and f = S; ``approx`` checks its combined
+polynomial against each target with that target's k and the polynomial's
+own denominator.
+
+``_certify`` folds S into one integer polynomial.  With
 W = w(top), the residues a_j of the ordering points, g_k = prod_{j<k}(x - a_j)
 and u_k the unit part of g_k(a_k),
 
     H(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(x)  mod p^(N + W)
 
 satisfies H(x) = p^W S(x) mod p^(N + W) at every domain point x: there
-p^w(k) divides g_k(x), so knowing u_k^-1 modulo p^N is enough.  H is built
-once per certificate; each test point is then one Horner pass.
+p^w(k) divides g_k(x), so knowing u_k^-1 modulo p^N is enough.  The check
+runs with F = H and D = p^W: one Horner pass per test point.
 
 The residues, the powers p^w(k) and the u_k^-1 belong to the series'
 ``POrdering``, which builds them on first use and keeps them.  ``expand``
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
@@ -57,6 +64,8 @@ class StepFunction:
     def __post_init__(self):
         if self.prime != self.domain.prime:
             raise ValueError(f"{self.prime}-adic function on a {self.domain.prime}-adic domain")
+        if self.precision < 1:
+            raise ValueError("precision counts p-adic digits and must be >= 1")
         # count before enumerating: a large p has too many residues to list
         if (len(self.table) != count_residues(self.domain, self.modulus_exp)
                 or set(self.table) != residues(self.domain, self.modulus_exp)):
@@ -105,8 +114,7 @@ def _default_length_cap(phi: StepFunction) -> int:
     return 2 * (n * p ** max(m - 1, 0) * (p - 1) + p ** m) + 16
 
 
-def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
-           length_cap: int = None) -> MahlerSeries:
+def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None) -> MahlerSeries:
     """Certified expansion of a step function in the ordering basis of its domain.
 
     Expansion continues until p^modulus_exp consecutive coefficients vanish
@@ -121,7 +129,7 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None,
     p = phi.prime
     domain = phi.domain
     finite = domain.is_finite()
-    cap = len(domain.finite) - 1 if finite else (length_cap or _default_length_cap(phi))
+    cap = len(domain.finite) - 1 if finite else _default_length_cap(phi)
     run_target = max(1, p ** phi.modulus_exp)
     # a ball ordering needs no precision; on a finite domain every step
     # valuation is exact and at most the valuation sum of one element's
@@ -166,8 +174,8 @@ def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
     """Exact check that the partial sum matches phi to p^-N everywhere.
 
     The partial sum is folded into the integer polynomial H of the module
-    docstring once; each test point then costs one Horner pass modulo
-    p^(N + W).
+    docstring once; H / p^W then goes through the test points of
+    ``_first_miss``, one Horner pass modulo p^(N + W) each.
     """
     top = s.length() - 1
     res, pw, uinv = s.ordering.basis_tables(top, s.precision)
@@ -182,27 +190,34 @@ def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
         for i in range(len(h) - 1):
             h[i] = (h[i] - a * h[i + 1]) % mod
         h[0] = (h[0] + s.coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
-    h.reverse()
-    for x in _test_points(phi, top):
-        if (horner_mod(h, residue(x, mod), mod) - p_w * phi.value_at(x)) % mod:
-            return False
-    return True
+    return _first_miss(h[::-1], p_w, phi, s.precision) is None
 
 
-def _test_points(phi: StepFunction, top: int):
-    """The elements of a finite domain; on a ball domain the points c + p^d i,
-    0 <= i <= top, of every class c mod p^d, d = max(m, deepest ball radius).
+def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Optional[str]:
+    """Where num/den first leaves phi + p^k Z_p on phi's domain, or None.
 
-    The classes of a ball c0 + p^k Z_p are c0 + p^k t, t < p^(d-k), so its test
-    points form the single progression c0 + p^k i, i < p^(d-k) (top + 1).
+    num holds integer coefficients, highest degree first, and den > 0.  The
+    test points are those of the module docstring: the elements of a finite
+    domain, and t = 0..deg at every class c + p^d t of a ball domain, visited
+    in ``residues`` order.
     """
+    p = phi.prime
+    mod = p ** (k + valp(den, p))
+    num = [c % mod for c in num]
     domain = phi.domain
     if domain.is_finite():
-        return domain.finite
-    p = phi.prime
+        for e in domain.finite:
+            if (horner_mod(num, residue(e, mod), mod) - den * phi.value_at(e)) % mod:
+                return f"element {e}"
+        return None
     depth = max(phi.modulus_exp, domain.max_ball_exponent())
-    return (c + p ** k * i for c, k in domain.balls
-            for i in range(p ** (depth - k) * (top + 1)))
+    step = p ** depth
+    for c in residues(domain, depth):
+        target = den * phi.value_at(c)
+        if any((horner_mod(num, (c + step * t) % mod, mod) - target) % mod
+               for t in range(max(len(num), 1))):
+            return f"ball {c} + {p}^{depth} Z_{p}"
+    return None
 
 
 def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:

@@ -80,9 +80,8 @@ class POrdering:
             self.w += w
         return self
 
-    def point_residues(self, depth: int = None) -> List[int]:
-        depth = self.precision if depth is None else depth
-        mod = self.prime ** depth
+    def point_residues(self) -> List[int]:
+        mod = self.prime ** self.precision
         return [residue(a, mod) for a in self.points]
 
     def lift(self, n: int) -> RatPoly:

@@ -225,7 +225,10 @@ def parse_set(text: str) -> CompactSet:
             balls.append((int(center.strip()), int(radius[2:])))
         return CompactSet.from_balls(p, balls)
     if body.startswith("finite:"):
-        elems = [Fraction(item.strip()) for item in body[len("finite:"):].split(",")]
+        try:
+            elems = [Fraction(item.strip()) for item in body[len("finite:"):].split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         return CompactSet.from_finite(p, elems)
     raise ValueError(f"expected 'balls:' or 'finite:' in {text!r}")
 

@@ -192,7 +192,7 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
             continue
         parts = [(p, 1, rational_lift_by_fractions(p_ordering(a.component(p), n, n_prec), n))
                  for p in p_set]
-        f_n = crt_combine(parts, n)
+        f_n = crt_combine(parts)
         c = f_n.lc()
         g, u, v = _xgcd(c.numerator, c.denominator)
         assert g == 1

@@ -105,6 +105,18 @@ def test_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--poly", "x"],  # AttributeError: neither --set nor --adelic
+    ["ordering", "--length", "2"],  # AttributeError: no --set
+    ["member", "--set", "p=2; finite: 1/0", "--poly", "x"],  # ZeroDivisionError
+    ["basis", "--adelic", "default=Zp", "--degree", "-3"],  # exit 0 with no polys
+], ids=["member-no-set", "ordering-no-set", "finite-zero-den", "basis-negative-degree"])
+def test_bad_argument_exit_code(capsys, argv):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
 def test_validation_exit_code(capsys):
     code, out = run_cli(["ordering", "--set", "p=2; balls:", "--length", "3"], capsys)
     assert code == 2
@@ -377,8 +389,12 @@ _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
                 "table": {"0": 0, "1": 1}, "N": 4}),  # TypeError
     ("approx", {"set": {"default": "Zp", "tracked": {"2": []}}, "targets": {}}),
     ("approx", []),  # a request that is not an object: TypeError
+    ("expand", {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 0, "1": 0},
+                "N": -1}),  # TypeError from pow
+    ("expand", {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 0, "1": 0},
+                "N": 0}),  # a "certified" series of zero digits
 ], ids=["set-list", "tracked-list", "set-int", "ball-int", "balls-int", "tracked-set-list",
-        "request-list"])
+        "request-list", "N-negative", "N-zero"])
 def test_request_of_wrong_shape_exit_code(tmp_path, capsys, verb, request_obj):
     req = tmp_path / "req.json"
     req.write_text(json.dumps(request_obj))

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padelic.ordering
-from padelic.errors import (DegreeOverflow, FactorLimitExceeded, NotFinitelyGenerated,
-                            PadelicError)
+from padelic.errors import FactorLimitExceeded, NotFinitelyGenerated, PadelicError
 from padelic.globalbasis import (FACTOR_BOUND, _prime_factors, char_ideal, crt_combine,
                                  global_membership, regular_basis)
 from padelic.ordering import local_membership
@@ -50,7 +49,7 @@ def test_char_ideal_tracked_component():
 def test_crt_combine_congruences():
     f2 = RatPoly.make([1, Fraction(1, 3)])     # denominators foreign to 2
     f3 = RatPoly.make([2, Fraction(1, 2), 1])
-    out = crt_combine([(2, 3, f2), (3, 2, f3)], 2)
+    out = crt_combine([(2, 3, f2), (3, 2, f3)])
     for i in range(3):
         c2 = f2.coeffs[i] if i <= f2.degree() else Fraction(0)
         c3 = f3.coeffs[i] if i <= f3.degree() else Fraction(0)
@@ -63,14 +62,9 @@ def test_crt_combine_congruences():
 def test_crt_combine_handles_negative_valuations():
     f2 = RatPoly.make([Fraction(3, 4)])  # v_2 = -2
     f3 = RatPoly.make([Fraction(1, 9)])  # v_3 = -2
-    out = crt_combine([(2, 2, f2), (3, 1, f3)], 0)
+    out = crt_combine([(2, 2, f2), (3, 1, f3)])
     assert valp(out.coeffs[0] - Fraction(3, 4), 2) >= 2
     assert valp(out.coeffs[0] - Fraction(1, 9), 3) >= 1
-
-
-def test_crt_degree_cap():
-    with pytest.raises(DegreeOverflow):
-        crt_combine([(2, 1, RatPoly.make([0, 0, 1]))], 1)
 
 
 @given(st.integers(0, 6), st.integers(1, 3), st.integers(1, 3),
@@ -79,7 +73,7 @@ def test_crt_degree_cap():
 @settings(max_examples=50, deadline=None)
 def test_crt_combine_random_parts(deg, k2, k3, c2, c3):
     f2, f3 = RatPoly.make(c2), RatPoly.make(c3)
-    out = crt_combine([(2, k2, f2), (3, k3, f3)], max(f2.degree(), f3.degree(), 0))
+    out = crt_combine([(2, k2, f2), (3, k3, f3)])
     def coeff(f, i):
         return f.coeffs[i] if i <= f.degree() else Fraction(0)
 
