@@ -18,7 +18,7 @@ from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
-from .polys import format_poly, parse_poly
+from .polys import RatPoly, format_poly, parse_poly
 from .sets import (AdelicSet, CompactSet, _json_int, _json_list, _json_object,
                    adelic_from_json, adelic_to_json, parse_adelic, parse_set,
                    rational_from_json, set_from_json)
@@ -40,11 +40,6 @@ def _emit(obj: Dict[str, Any], out_path: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_request(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        return _json_object(json.load(fh), "request")
 
 
 def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
@@ -86,7 +81,7 @@ def _cmd_basis(args) -> Dict[str, Any]:
 
 
 def _cmd_member(args) -> Dict[str, Any]:
-    f = parse_poly(args.poly)
+    f = _poly_arg(args)
     if args.adelic is not None:
         member = global_membership(f, parse_adelic(args.adelic), args.precision)
     else:
@@ -95,7 +90,7 @@ def _cmd_member(args) -> Dict[str, Any]:
 
 
 def _cmd_expand(args) -> Dict[str, Any]:
-    phi = _step_fn_from_json(_load_request(args.request))
+    phi = _step_fn_from_json(_request_arg(args))
     s = expand(phi, None, args.precision)
     return {"p": phi.prime, "coeffs": list(s.coeffs), "N": s.precision,
             "certified": s.certified, "certificate_depth": s.certificate_depth,
@@ -103,7 +98,7 @@ def _cmd_expand(args) -> Dict[str, Any]:
 
 
 def _cmd_approx(args) -> Dict[str, Any]:
-    obj = _load_request(args.request)
+    obj = _request_arg(args)
     a = adelic_from_json(obj["set"])
     targets = {}
     for p, t in _json_object(obj["targets"], "targets").items():
@@ -128,7 +123,7 @@ def _cmd_adelic_ordering(args) -> Dict[str, Any]:
 
 
 def _cmd_scale(args) -> Dict[str, Any]:
-    obj = _load_request(args.request)
+    obj = _request_arg(args)
     components = {int(p): [_scale_ball(b, p) for b in _json_list(balls, f"component at {p}")]
                   for p, balls in _json_object(obj["components"], "components").items()}
     d, scaled = scale_into_z(components)
@@ -154,6 +149,23 @@ def _adelic_arg(args) -> AdelicSet:
     return parse_adelic(args.adelic)
 
 
+def _poly_arg(args) -> RatPoly:
+    if args.poly is None:
+        raise ValueError("this verb requires --poly")
+    return parse_poly(args.poly)
+
+
+def _request_arg(args) -> Dict[str, Any]:
+    if args.request is None:
+        raise ValueError("this verb requires --request")
+    try:
+        with open(args.request) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read request file {args.request!r}: {exc.strerror}") from None
+    return _json_object(json.loads(text), "request")
+
+
 _HANDLERS = {
     "ordering": _cmd_ordering,
     "charideal": _cmd_charideal,
@@ -166,8 +178,18 @@ _HANDLERS = {
 }
 
 
+class UsageError(Exception):
+    """An argv the parser refuses: unknown verb or option, or a bad option value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padelic",
         description="exact arithmetic for integer-valued polynomials on p-adic sets")
     parser.add_argument("verb", choices=sorted(_HANDLERS))
@@ -183,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        _emit({"error": "UsageError", "detail": str(exc)}, None)
+        return 2
+    except SystemExit as exc:  # --help
         return 2 if exc.code else 0
     try:
         if args.precision is not None and args.precision < 1:

@@ -5,22 +5,25 @@ computed modulo p^N throughout.
 
 Both results of the paper are certified by one exact pointwise argument,
 ``_first_miss``.  Let f = F/D with F an integer polynomial of degree <= top
-and D > 0, and let d = max(m, deepest ball radius), so phi is constant on
-every class c + p^d Z_p of a ball domain.  The check asks that
-F(c + p^d t) = D phi(c) mod p^(k + v_p(D)), that is f(c + p^d t) = phi(c)
-mod p^k, for t = 0..top in every class.  t -> f(c + p^d t) is a polynomial
-of degree <= top that maps Z_p into Z_p, so its Mahler (binomial-basis)
-coefficients are the forward differences at t = 0 of its values at
-t = 0..top.  Those values lie in phi(c) + p^k Z_p exactly when the
-differences of phi(c) - f(c + p^d t) all vanish modulo p^k: the map from
-values to differences is an integer lower-triangular matrix with ones on
-the diagonal, hence unimodular.  The difference then has valuation >= k on
-the whole ball, which certifies agreement to p^-k at every residue of the
-domain at any depth.  A finite domain is checked at its elements.  The
-certificate of a truncated series S = sum_{n<=top} c_n f_n (``_certify``)
-is this check with k = N and f = S; ``approx`` checks its combined
-polynomial against each target with that target's k and the polynomial's
-own denominator.
+and D > 0, let M = k + v_p(D), and let d = max(m, deepest ball radius), so
+phi is constant on every class c + p^d Z_p of a ball domain.  The check asks
+that F(c + p^d t) = D phi(c) mod p^M, that is f(c + p^d t) = phi(c) mod p^k,
+for t = 0..min(top, J) in every class, where J = ceil(M/d) - 1 (J = top when
+d = 0).  Write F(c + p^d t) - D phi(c) = sum_j g_j t^j.  Each g_j is an
+integer combination of the coefficients of F times p^(d j), so modulo p^M
+it is a polynomial G(t) of degree <= min(top, J).  G maps Z_p into Z_p and
+its Mahler (binomial-basis) coefficients are the forward differences at
+t = 0 of its values at t = 0..min(top, J): the map from values to
+differences is an integer lower-triangular matrix with ones on the diagonal,
+hence unimodular.  So those values all vanish modulo p^M exactly when every
+Mahler coefficient does, and then G vanishes modulo p^M on all of Z_p: f is
+within p^-k of phi on the whole ball, which certifies agreement at every
+residue of the domain at any depth.  A class that fails, fails at one of
+these points, so the first miss is the same as with t = 0..top.  A finite
+domain is checked at its elements.  The certificate of a truncated series
+S = sum_{n<=top} c_n f_n (``_certify``) is this check with k = N and f = S;
+``approx`` checks its combined polynomial against each target with that
+target's k and the polynomial's own denominator.
 
 ``_certify`` folds S into one integer polynomial.  With
 W = w(top), the residues a_j of the ordering points, g_k = prod_{j<k}(x - a_j)
@@ -198,11 +201,12 @@ def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Opti
 
     num holds integer coefficients, highest degree first, and den > 0.  The
     test points are those of the module docstring: the elements of a finite
-    domain, and t = 0..deg at every class c + p^d t of a ball domain, visited
-    in ``residues`` order.
+    domain, and t = 0..min(deg, J) at every class c + p^d t of a ball domain,
+    visited in ``residues`` order.
     """
     p = phi.prime
-    mod = p ** (k + valp(den, p))
+    digits = k + valp(den, p)
+    mod = p ** digits
     num = [c % mod for c in num]
     domain = phi.domain
     if domain.is_finite():
@@ -212,10 +216,13 @@ def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Opti
         return None
     depth = max(phi.modulus_exp, domain.max_ball_exponent())
     step = p ** depth
+    points = max(len(num), 1)
+    if depth:
+        points = min(points, -(-digits // depth))  # t = 0..J, J = ceil(digits/d) - 1
     for c in residues(domain, depth):
         target = den * phi.value_at(c)
         if any((horner_mod(num, (c + step * t) % mod, mod) - target) % mod
-               for t in range(max(len(num), 1))):
+               for t in range(points)):
             return f"ball {c} + {p}^{depth} Z_{p}"
     return None
 

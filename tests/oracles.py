@@ -18,7 +18,7 @@ from padelic.mahler import MahlerSeries, StepFunction
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly)
 from padelic.padic import DEFAULT_PRECISION, residue, valp
-from padelic.polys import RatPoly
+from padelic.polys import RatPoly, horner_mod
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
 from padelic.utils import primes_up_to, v_of_factorial
 
@@ -50,6 +50,29 @@ def certify_by_differences(s: MahlerSeries, phi: StepFunction) -> bool:
                 return False
             diffs = [(b - a) % small for a, b in zip(diffs, diffs[1:])]
     return True
+
+
+def first_miss_all_points(num, den: int, phi: StepFunction, k: int):
+    """``mahler._first_miss`` with t = 0..deg at every class c + p^d t: all
+    deg + 1 points, before the p^(d j) bound on the t^j coefficient cut them
+    to ceil((k + v_p(den)) / d)."""
+    p = phi.prime
+    mod = p ** (k + valp(den, p))
+    num = [c % mod for c in num]
+    domain = phi.domain
+    if domain.is_finite():
+        for e in domain.finite:
+            if (horner_mod(num, residue(e, mod), mod) - den * phi.value_at(e)) % mod:
+                return f"element {e}"
+        return None
+    depth = max(phi.modulus_exp, domain.max_ball_exponent())
+    step = p ** depth
+    for c in residues(domain, depth):
+        target = den * phi.value_at(c)
+        if any((horner_mod(num, (c + step * t) % mod, mod) - target) % mod
+               for t in range(max(len(num), 1))):
+            return f"ball {c} + {p}^{depth} Z_{p}"
+    return None
 
 
 def partial_sum_by_basis_rational(s: MahlerSeries) -> RatPoly:

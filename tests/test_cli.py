@@ -1,11 +1,16 @@
 """CLI: verb behavior, determinism, JSON round-trips, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padelic.cli import run
+from padelic.cli import _HANDLERS, run
 
 
 def run_cli(argv, capsys):
@@ -110,11 +115,36 @@ def test_determinism(capsys):
     ["ordering", "--length", "2"],  # AttributeError: no --set
     ["member", "--set", "p=2; finite: 1/0", "--poly", "x"],  # ZeroDivisionError
     ["basis", "--adelic", "default=Zp", "--degree", "-3"],  # exit 0 with no polys
-], ids=["member-no-set", "ordering-no-set", "finite-zero-den", "basis-negative-degree"])
+    ["member", "--set", "p=2; balls: 0+p^1"],  # AttributeError: no --poly
+    ["expand"],  # TypeError: no --request
+    ["approx"],
+    ["scale"],
+    ["expand", "--request", "no/such/request.json"],  # FileNotFoundError
+], ids=["member-no-set", "ordering-no-set", "finite-zero-den", "basis-negative-degree",
+        "member-no-poly", "expand-no-request", "approx-no-request", "scale-no-request",
+        "expand-missing-request-file"])
 def test_bad_argument_exit_code(capsys, argv):
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--set", "p=2; balls: 0+p^1", "--poly", "-x"],  # -x read as an option
+    ["bogus"],
+    [],
+    ["ordering", "--set", "p=2; balls: 0+p^1", "--length", "four"],
+], ids=["option-like-value", "unknown-verb", "no-verb", "non-integer-length"])
+def test_usage_error_prints_json(capsys, argv):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "UsageError"
+
+
+def test_help_exits_zero(capsys):
+    code, out = run_cli(["--help"], capsys)
+    assert code == 0
+    assert "usage: padelic" in out
 
 
 def test_validation_exit_code(capsys):
@@ -417,3 +447,95 @@ def test_scale_refuses_inexact_input(tmp_path, capsys, components):
     code, out = run_cli(["scale", "--request", str(req)], capsys)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+# Inputs for the fuzz test below.  Integers stay small: a set whose balls
+# differ in radius by r has p^r classes to certify, and every DSL number is
+# flanked by non-digit words so that no two numbers run together.
+_SMALL = st.integers(-3, 12)
+_PRIME = st.one_of(st.sampled_from([2, 3, 5]), _SMALL)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _SMALL, st.floats(-4, 4), st.text(max_size=4)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["p", "k", "m", "N", "0", "1", "2", "x"]), kids, max_size=3),
+    max_leaves=8)
+_RADIUS = st.one_of(st.integers(0, 3), st.just(-1))
+_COUNT = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2]).map(str)
+_SET_JSON = st.one_of(
+    st.fixed_dictionaries({"p": _PRIME, "balls": st.lists(st.fixed_dictionaries(
+        {"center": _SMALL, "k": _RADIUS}), max_size=3)}),
+    st.fixed_dictionaries({"p": _PRIME, "finite": st.lists(st.one_of(_SMALL, st.fixed_dictionaries(
+        {"num": _SMALL, "den": _SMALL})), max_size=4)}),
+    _JSON)
+
+
+@st.composite
+def _zp_step_json(draw):
+    """A well-formed step function on Z_p, so that requests also reach the work."""
+    p, m, n = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, p ** n - 1), min_size=p ** m, max_size=p ** m))
+    return {"p": p, "set": {"p": p, "balls": [{"center": 0, "k": 0}]}, "m": m, "N": n,
+            "table": {str(r): v for r, v in enumerate(values)}}
+
+
+_STEP_JSON = st.one_of(_zp_step_json(), st.fixed_dictionaries({
+    "p": _PRIME, "set": _SET_JSON, "m": st.integers(-1, 2), "N": st.integers(-1, 5),
+    "table": st.dictionaries(st.integers(0, 8).map(str), st.one_of(_SMALL, _JSON), max_size=4),
+}), _JSON)
+_TARGET = st.one_of(st.fixed_dictionaries({"phi": _STEP_JSON, "k": st.integers(-1, 4)}), _JSON)
+_REQUEST = st.one_of(
+    _STEP_JSON,
+    st.fixed_dictionaries({
+        "set": st.one_of(st.fixed_dictionaries({
+            "default": st.sampled_from(["Zp", "pZp", "Q"]),
+            "tracked": st.dictionaries(_PRIME.map(str), _SET_JSON, max_size=2)}), _JSON),
+        "targets": st.one_of(st.dictionaries(_PRIME.map(str), _TARGET, max_size=2), _JSON)}),
+    _zp_step_json().map(lambda phi: {"set": {"default": "Zp", "tracked": {}},
+                                     "targets": {str(phi["p"]): {"phi": phi, "k": 1}}}),
+    st.fixed_dictionaries({"components": st.one_of(st.dictionaries(
+        _PRIME.map(str), st.lists(st.lists(st.one_of(_SMALL, _JSON), max_size=3), max_size=2),
+        max_size=2), _JSON)}),
+)
+_WORD = st.sampled_from(["", " ", "p=", "default=", "Zp", "pZp", "balls:", "finite:",
+                         "+p^", ",", ";", "/", "-", "x", "*x^", "+", "^"])
+_DSL = st.lists(st.tuples(_WORD, _SMALL.map(str), _WORD).map("".join), max_size=5).map("".join)
+_BALL = st.tuples(_SMALL, _RADIUS).map(lambda b: f"{b[0]}+p^{b[1]}")
+_SET_DSL = st.one_of(
+    st.tuples(_PRIME, st.lists(_BALL, min_size=1, max_size=3)).map(
+        lambda t: f"p={t[0]}; balls: " + ", ".join(t[1])),
+    st.tuples(_PRIME, st.lists(st.tuples(_SMALL, st.sampled_from([1, 1, 2, 3, 0])),
+                               min_size=1, max_size=4)).map(
+        lambda t: f"p={t[0]}; finite: " + ", ".join(f"{a}/{b}" for a, b in t[1])),
+    _DSL)
+_ADELIC_DSL = st.one_of(
+    st.tuples(st.sampled_from(["Zp", "Zp", "pZp", "Q"]), st.lists(_SET_DSL, max_size=2)).map(
+        lambda t: "; ".join([f"default={t[0]}"] + t[1])),
+    _DSL)
+_POLY = st.one_of(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8), st.integers(0, 6)),
+             min_size=1, max_size=3).map(
+        lambda ts: " + ".join(f"{a}/{b}*x^{n}" for a, b, n in ts)),
+    _DSL)
+_OPTIONS = {"--set": _SET_DSL, "--adelic": _ADELIC_DSL, "--poly": _POLY,
+            "--degree": _COUNT, "--length": _COUNT, "--precision": _COUNT,
+            "--request": st.just("request.json")}
+
+
+@given(st.sampled_from(sorted(_HANDLERS)), st.fixed_dictionaries(_OPTIONS),
+       st.sets(st.sampled_from(sorted(_OPTIONS)), max_size=4), _REQUEST)
+@settings(max_examples=300, deadline=None)
+def test_every_verb_answers_in_json(verb, options, dropped, request_obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [verb]
+        for option, value in options.items():
+            if option in dropped:
+                continue
+            if option == "--request":
+                value = str(Path(tmp) / value)
+                Path(value).write_text(json.dumps(request_obj))
+            argv += [option, value]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert code in (0, 2, 3), argv
+    json.loads(out.getvalue())
