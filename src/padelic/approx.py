@@ -1,8 +1,9 @@
 """One rational polynomial close to prescribed functions at several primes.
 
 Each target function is expanded in the ordering basis of its component, the
-coefficients are lifted to integers, and the resulting exact partial sums are
-combined coefficientwise by CRT so the output is congruent to each partial
+coefficients are lifted to integers, and the resulting exact partial sums,
+integer numerators over one denominator each, are combined coefficientwise
+by ``globalbasis.crt_combine`` so the output is congruent to each partial
 sum p-adically and integral at every other prime.  Soundness is re-verified
 before returning: per-prime ball-wise closeness plus global membership.
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Sequence, Tuple
+from math import lcm, prod
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CertificateFailed
 from .globalbasis import crt_combine, global_membership
@@ -85,25 +86,22 @@ def _build(r: ApproxRequest, mult: int) -> RatPoly:
     k_top = max(k for _, k in r.targets.values())
     parts = []
     for p, (phi, k) in sorted(r.targets.items()):
-        series = expand(phi, None, min(mult * k, phi.precision))
-        parts.append((p, k_top, _newton_sum(series.ordering, series.coeffs)))
-    return crt_combine(parts)
+        series = expand(phi, min(mult * k, phi.precision))
+        parts.append((p, k_top, *_newton_sum(series.ordering, series.coeffs)))
+    return RatPoly.over(*crt_combine(parts))
 
 
-def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> RatPoly:
-    """sum_n c_n f_n over the ordering basis, folded in nested Newton form.
+def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> Tuple[int, List[int]]:
+    """sum_n c_n f_n over the ordering basis, folded in nested Newton form, as
+    (den, num): integer numerators, lowest degree first, over one denominator.
 
     The e_n are scaled by their common denominator, so on a ball domain
-    (integer points) the fold runs in integers.
+    (integer points) the fold runs in integers; the rational points of a
+    finite domain leave Fractions, whose denominators are cleared at the end.
     """
     top = max((n for n, c in enumerate(coeffs) if c), default=-1)
     pts = o.points
-    e = []
-    for n in range(top + 1):
-        d = 1
-        for a in pts[:n]:
-            d *= pts[n] - a
-        e.append(Fraction(coeffs[n]) / d)
+    e = [Fraction(coeffs[n]) / prod(pts[n] - a for a in pts[:n]) for n in range(top + 1)]
     den = lcm(*(x.denominator for x in e))
     h: list = []  # lowest degree first
     for n in range(top, -1, -1):
@@ -112,7 +110,8 @@ def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> RatPoly:
         for i in range(len(h) - 1):
             h[i] -= a * h[i + 1]
         h[0] += e[n].numerator * (den // e[n].denominator)
-    return RatPoly.make([Fraction(c, den) for c in h])
+    q = lcm(*(c.denominator for c in h))
+    return den * q, [c.numerator * (q // c.denominator) for c in h]
 
 
 def _verify(f: RatPoly, r: ApproxRequest):

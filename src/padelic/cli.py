@@ -91,7 +91,7 @@ def _cmd_member(args) -> Dict[str, Any]:
 
 def _cmd_expand(args) -> Dict[str, Any]:
     phi = _step_fn_from_json(_request_arg(args))
-    s = expand(phi, None, args.precision)
+    s = expand(phi, args.precision)
     return {"p": phi.prime, "coeffs": list(s.coeffs), "N": s.precision,
             "certified": s.certified, "certificate_depth": s.certificate_depth,
             "points": [_rat_json(a) for a in s.ordering.points[:s.length()]]}

@@ -1,24 +1,34 @@
 """Characteristic modules, coefficientwise CRT, and global regular bases.
 
-The basis construction follows the local-to-global recipe: for each degree n
-collect the finitely many primes whose component meets at most n residues
-modulo p, CRT-combine the local rational lifts modulo p, then apply a Bezout
-adjustment so the leading coefficient is exactly 1 over the factorial-like
-denominator.  One ``POrdering`` per prime serves every degree of a call: the
-ordering and the product polynomial are extended, never rebuilt.
+The basis is built in integers, one degree n at a time.  The primes with
+w_p(n) > 0 are those of the characteristic ideal: the primes whose component
+meets at most n classes mod p, since a p-ordering takes a new class at each
+step while one is left.  Each gives its lift h_n, integer numerators over
+p^w(n); ``crt_combine`` glues the lifts modulo p into F / D, D = prod_p
+p^w_p(n), and a Bezout step on the top numerator makes the leading
+coefficient exactly 1/D.  Only the finished polynomial becomes a
+``RatPoly``.  One ``POrdering`` per prime serves every degree of a call.
+
+The output is that of a CRT over Q that clears each coefficient's
+denominators by a scale S of its own, a divisor of D.  Write D = T S with
+v_p(T) = j at a part prime p.  If c S = r'' modulo p^(k + v_p(S)), then
+T c S = T r'' modulo p^(k + v_p(S) + j) = p^(k + v_p(D)), and
+0 <= T r'' < T prod_p p^(k + v_p(S)); so the residue over D is r' = T r''
+and r' / D = r'' / S.  The top numerator is prime to D, so the leading
+coefficient F_n / D is already reduced and ``_xgcd`` returns the Bezout
+pair of the reduced Fraction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
-from .padic import DEFAULT_PRECISION, residue, valp
+from .padic import DEFAULT_PRECISION, valp
 from .polys import RatPoly
-from .sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p
+from .sets import FULL, PZP, AdelicSet, CompactSet
 from .utils import primes_up_to, strip_primes, v_of_factorial
 
 #: Largest trial divisor of ``_prime_factors``: a number whose part left after
@@ -40,10 +50,7 @@ class CharIdeal:
     def denominator(self) -> int:
         if not self.is_fractional():
             raise NotFinitelyGenerated(self.witness)
-        d = 1
-        for p, e in self.factored.items():
-            d *= p ** e
-        return d
+        return prod(p ** e for p, e in self.factored.items())
 
 
 @dataclass(frozen=True)
@@ -101,37 +108,35 @@ def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
     return CharIdeal(degree=n, factored=factored)
 
 
-def crt_combine(parts: Sequence[Tuple[int, int, RatPoly]]) -> RatPoly:
-    """One rational polynomial congruent to each part modulo p^k in Z_(p)[x].
+def crt_combine(parts: Sequence[Tuple[int, int, int, Sequence[int]]]) -> Tuple[int, List[int]]:
+    """(D, F): one polynomial F/D congruent to each part modulo p^k in Z_(p)[x].
 
-    Each part is (p, k, f_p); the result f satisfies f = f_p + p^k * Z_(p)[x]
-    for every part and has q-integral coefficients at all other primes.  Least
-    non-negative numerators are chosen, so the output is deterministic.
+    Each part is (p, k, den, num), the polynomial num/den with integer
+    numerators num (lowest degree first) and den > 0.  D is the product over
+    the part primes of p^(max v_p(den)), so F/D is q-integral at every other
+    prime q.  Each F_i is the least non-negative numerator over D, so the
+    output is deterministic.
     """
     if not parts:
-        return RatPoly.zero()
-    primes = [p for p, _, _ in parts]
+        return 1, []
+    primes = [p for p, _, _, _ in parts]
     if len(set(primes)) != len(primes):
         raise ValueError("part primes must be distinct")
-    width = max(f.degree() + 1 for _, _, f in parts)
-    out: List[Fraction] = []
-    for i in range(width):
-        cs = {p: (f.coeffs[i] if i <= f.degree() else Fraction(0)) for p, _, f in parts}
-        # clear part-prime denominators with a single scaling factor
-        exps = {p: max(0, max(-valp(c, p) if c else 0 for c in cs.values()))
-                for p in primes}
-        scale = 1
-        for p in primes:
-            scale *= p ** exps[p]
-        r, modulus = 0, 1
-        for p, k, _ in parts:
-            m = p ** (k + exps[p])
-            t = residue(cs[p] * scale, m)
-            x = pow(modulus, -1, m)
-            r = (r + (t - r) * x % m * modulus) % (modulus * m)
-            modulus *= m
-        out.append(Fraction(r, scale))
-    return RatPoly.make(out)
+    vals = [[valp(den, q) for q in primes] for _, _, den, _ in parts]
+    exps = [max(col) for col in zip(*vals)]
+    big_d = prod(p ** e for p, e in zip(primes, exps))
+    mods = [p ** (k + e) for (p, k, _, _), e in zip(parts, exps)]
+    big_m = prod(mods)
+    # F_i = sum of num_i * coef mod M, coef = D/den modulo the part's
+    # p^(k + e) and 0 modulo every other part's
+    coefs = []
+    for j, ((p, _, den, _), e, m) in enumerate(zip(parts, exps, mods)):
+        v, rest = vals[j][j], big_m // m
+        to_den = p ** (e - v) * (big_d // p ** e) * pow(den // p ** v, -1, m)
+        coefs.append(to_den * rest * pow(rest, -1, m) % big_m)
+    width = max(len(num) for _, _, _, num in parts)
+    return big_d, [sum(c * num[i] for c, (_, _, _, num) in zip(coefs, parts) if i < len(num))
+                   % big_m for i in range(width)]
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -141,16 +146,6 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return a, x0, y0
-
-
-def basis_prime_set(a: AdelicSet, n: int) -> List[int]:
-    """Primes whose component meets at most n residues modulo p."""
-    out = [p for p in a.tracked if count_mod_p(a.tracked[p]) <= n]
-    if a.default == FULL:
-        out.extend(p for p in primes_up_to(n) if p not in a.tracked)
-    elif n >= 1:
-        raise NotFinitelyGenerated("pZ_p default fails #(E_p mod p) > n at every untracked prime")
-    return sorted(out)
 
 
 def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFamily:
@@ -165,22 +160,19 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
         ideal = _char_ideal(a, n, local)
         if not ideal.is_fractional():
             raise NotFinitelyGenerated(ideal.witness)
-        p_set = basis_prime_set(a, n)
-        if not p_set:
+        if not ideal.factored:
             polys.append(RatPoly.x_power(n))
             continue
-        parts = [(p, 1, local[p].lift(n)) for p in p_set]
-        f_n = crt_combine(parts)
-        assert f_n.degree() == n  # lifts are monic/p^w, so the top residue is a unit
-        # Bezout step: move the leading coefficient to exactly 1/b (the pair
+        den, f_n = crt_combine([(p, 1, p ** w, local[p].lift(n))
+                                for p, w in ideal.factored.items()])
+        # Bezout step: the lifts are monic over p^w, so the top numerator is
+        # prime to D and u F + v D x^n has top numerator exactly 1 (the pair
         # (u, v) from _xgcd fixes the output; another pair changes every poly)
-        c = f_n.lc()
-        aa, b = c.numerator, c.denominator
-        g, u, v = _xgcd(aa, b)
-        assert g == 1
-        g_n = f_n.scale(u) + RatPoly.x_power(n, v)
-        assert g_n.lc() == Fraction(1, b) and b == ideal.denominator()
-        polys.append(g_n)
+        g, u, v = _xgcd(f_n[n], den)
+        assert g == 1 and len(f_n) == n + 1 and den == ideal.denominator()
+        f_n = [c * u for c in f_n]
+        f_n[n] += v * den
+        polys.append(RatPoly.over(den, f_n))
     return BasisFamily(set=a, polys=tuple(polys))
 
 

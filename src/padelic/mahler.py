@@ -117,7 +117,7 @@ def _default_length_cap(phi: StepFunction) -> int:
     return 2 * (n * p ** max(m - 1, 0) * (p - 1) + p ** m) + 16
 
 
-def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None) -> MahlerSeries:
+def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
     """Certified expansion of a step function in the ordering basis of its domain.
 
     Expansion continues until p^modulus_exp consecutive coefficients vanish
@@ -142,10 +142,7 @@ def expand(phi: StepFunction, o: POrdering = None, n_prec: int = None) -> Mahler
     if finite:
         ord_prec = max(n_prec, cap + 2, 1 + max(
             sum(valp(x - y, p) for y in domain.finite if y != x) for x in domain.finite))
-    own = p_ordering(domain, 0, ord_prec)
-    if o is not None and own.extend(o.length()).points[:len(o.points)] != o.points:
-        raise ValueError("supplied ordering is not the canonical greedy ordering")
-    o = own
+    o = p_ordering(domain, 0, ord_prec)
     coeffs: List[int] = []
     small = p ** n_prec
     run = 0
@@ -282,19 +279,17 @@ class AdelicMahlerSeries:
         return all(s.certified for s in self.per_prime.values())
 
 
-def expand_adelic(phis: Dict[int, StepFunction], ordering,
+def expand_adelic(phis: Dict[int, StepFunction],
                   n_prec: Union[int, Dict[int, int], None] = None) -> AdelicMahlerSeries:
-    """Expand one step function per tracked prime against an adelic ordering.
+    """Expand one step function per tracked prime, each in the ordering basis
+    of its domain.
 
     Untracked components default to the zero function and contribute zero
     coefficients, so they are not materialized.
     """
-    per = {}
-    for p, phi in phis.items():
-        seed = ordering.local.get(p) if ordering is not None else None
-        local_prec = n_prec.get(p) if isinstance(n_prec, dict) else n_prec
-        per[p] = expand(phi, seed, local_prec)
-    return AdelicMahlerSeries(per_prime=per)
+    return AdelicMahlerSeries(per_prime={
+        p: expand(phi, n_prec.get(p) if isinstance(n_prec, dict) else n_prec)
+        for p, phi in phis.items()})
 
 
 def expand_in_basis(phi: StepFunction, basis, n_prec: int = None) -> List[int]:
@@ -304,7 +299,7 @@ def expand_in_basis(phi: StepFunction, basis, n_prec: int = None) -> List[int]:
     the (unit-diagonal) triangular change of basis; the recursion only applies
     to ordering bases.
     """
-    s = expand(phi, None, n_prec)
+    s = expand(phi, n_prec)
     o = s.ordering
     p, small = o.prime, o.prime ** s.precision
     top = s.length() - 1

@@ -84,8 +84,9 @@ class POrdering:
         mod = self.prime ** self.precision
         return [residue(a, mod) for a in self.points]
 
-    def lift(self, n: int) -> RatPoly:
-        """``rational_lift`` at degree n, pulling the ordering as far as n.
+    def lift(self, n: int) -> List[int]:
+        """The integer numerators of ``rational_lift`` at degree n, lowest
+        degree first, over p^w(n); pulls the ordering as far as n.
 
         Raises PrecisionExhausted when N is below w(n).
         """
@@ -98,9 +99,7 @@ class POrdering:
         for a in self.points[len(self._g) - 1:n]:
             self._g = _times_linear(self._g, residue(a, mod), mod)
         mod = self.prime ** wn
-        h = [c % mod for c in self._g[:-1]]
-        h.append(1)  # g is monic; keep the lift monic
-        return RatPoly.make(h).scale(Fraction(1, mod))
+        return [c % mod for c in self._g[:-1]] + [1]  # g is monic, and so is the lift
 
     def basis_tables(self, n: int, n_prec: int) -> Tuple[List[int], List[int], List[int]]:
         """Residues of a_0..a_n, p^w(k) and u_k^-1 modulo p^N for k <= n.
@@ -243,7 +242,8 @@ def rational_lift(o: POrdering, n: int) -> RatPoly:
     """
     if n > o.length():
         raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
-    return o.lift(n)
+    h = o.lift(n)
+    return RatPoly.over(o.prime ** o.w[n], h)
 
 
 def _times_linear(g: List[int], a: int, mod: int) -> List[int]:

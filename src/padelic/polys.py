@@ -24,6 +24,11 @@ class RatPoly:
         return cls(tuple(cs))
 
     @classmethod
+    def over(cls, den: int, nums: Sequence[int]) -> "RatPoly":
+        """The polynomial with integer numerators nums (lowest degree first) over den."""
+        return cls.make([Fraction(c, den) for c in nums])
+
+    @classmethod
     def zero(cls) -> "RatPoly":
         return cls(())
 
@@ -141,6 +146,10 @@ def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
 # ---------------------------------------------------------------------------
 # tiny infix grammar: terms "a/b*x^n" joined by + and -
 
+#: Largest power of x that ``parse_poly`` accepts: it builds one coefficient
+#: per degree, and membership tests go through the binomial coefficients.
+MAX_POLY_DEGREE = 256
+
 _COEFF = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _POWER = re.compile(r"x(\^[0-9]+)?")
 
@@ -149,7 +158,8 @@ def parse_poly(text: str) -> RatPoly:
     """Parse e.g. ``1/2*x^2 - 1/2*x + 3``.
 
     Factors are integers, ``a/b`` fractions and powers ``x^n`` with n >= 0;
-    anything else (floats, negative exponents) raises ValueError.
+    anything else (floats, negative exponents) and a term of power above
+    MAX_POLY_DEGREE raise ValueError.
     """
     text = text.replace(" ", "")
     if not text:
@@ -180,6 +190,8 @@ def parse_poly(text: str) -> RatPoly:
                 coeff *= Fraction(factor)
             else:
                 raise ValueError(f"cannot parse factor {factor!r}")
+        if power > MAX_POLY_DEGREE:
+            raise ValueError(f"power x^{power} exceeds the cap x^{MAX_POLY_DEGREE}")
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
     n = max(coeffs) + 1
     return RatPoly.make([coeffs.get(i, Fraction(0)) for i in range(n)])

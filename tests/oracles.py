@@ -8,18 +8,18 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
 from padelic.approx import ApproxRequest
 from padelic.errors import NotFinitelyGenerated, PrecisionExhausted, SetTooSmall
-from padelic.globalbasis import BasisFamily, _xgcd, basis_prime_set, crt_combine
+from padelic.globalbasis import BasisFamily, _xgcd
 from padelic.mahler import MahlerSeries, StepFunction
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly)
 from padelic.padic import DEFAULT_PRECISION, residue, valp
 from padelic.polys import RatPoly, horner_mod
-from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
+from padelic.sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p, residues
 from padelic.utils import primes_up_to, v_of_factorial
 
 
@@ -186,10 +186,43 @@ def rational_lift_by_fractions(o: POrdering, n: int) -> RatPoly:
     return RatPoly.make(h).scale(Fraction(1, mod))
 
 
+def crt_combine_by_fractions(parts: Sequence[Tuple[int, int, RatPoly]]) -> RatPoly:
+    """One rational polynomial congruent to each part (p, k, f_p) modulo p^k
+    in Z_(p)[x], coefficient by coefficient: each coefficient's part-prime
+    denominators are cleared by their own scale, read from the valuations
+    of every part's coefficient, and the least non-negative residues are
+    CRT-combined over that scale."""
+    if not parts:
+        return RatPoly.zero()
+    primes = [p for p, _, _ in parts]
+    if len(set(primes)) != len(primes):
+        raise ValueError("part primes must be distinct")
+    width = max(f.degree() + 1 for _, _, f in parts)
+    out: List[Fraction] = []
+    for i in range(width):
+        cs = {p: (f.coeffs[i] if i <= f.degree() else Fraction(0)) for p, _, f in parts}
+        exps = {p: max(0, max(-valp(c, p) if c else 0 for c in cs.values()))
+                for p in primes}
+        scale = 1
+        for p in primes:
+            scale *= p ** exps[p]
+        r, modulus = 0, 1
+        for p, k, _ in parts:
+            m = p ** (k + exps[p])
+            t = residue(cs[p] * scale, m)
+            x = pow(modulus, -1, m)
+            r = (r + (t - r) * x % m * modulus) % (modulus * m)
+            modulus *= m
+        out.append(Fraction(r, scale))
+    return RatPoly.make(out)
+
+
 def regular_basis_per_degree(a: AdelicSet, max_degree: int,
                              n_prec: int = None) -> BasisFamily:
-    """Reference: every degree orders every component afresh and lifts g_n
-    from Fractions, checking the characteristic ideal first."""
+    """Reference: every degree orders every component afresh, lifts g_n from
+    Fractions at the primes whose component meets at most n classes mod p and
+    combines the lifts by ``crt_combine_by_fractions``, checking the
+    characteristic ideal first."""
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
     polys = []
@@ -209,13 +242,13 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
                                       f"degree {n} needs more")
                 w = p_ordering(comp, n, n_prec).w[n]
             denominator *= p ** w
-        p_set = basis_prime_set(a, n)
+        p_set = sorted(p for p in primes if count_mod_p(a.component(p)) <= n)
         if not p_set:
             polys.append(RatPoly.x_power(n))
             continue
         parts = [(p, 1, rational_lift_by_fractions(p_ordering(a.component(p), n, n_prec), n))
                  for p in p_set]
-        f_n = crt_combine(parts)
+        f_n = crt_combine_by_fractions(parts)
         c = f_n.lc()
         g, u, v = _xgcd(c.numerator, c.denominator)
         assert g == 1

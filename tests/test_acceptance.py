@@ -157,7 +157,7 @@ def test_criterion_04_mahler_roundtrip():
         dom = CompactSet.zp(p) if rng.random() < 0.5 else _random_ball_set(rng, p)
         table = {r: rng.randrange(p ** 6) for r in residues(dom, m)}
         phi = StepFunction(p, dom, m, table, 6)
-        s = expand(phi, None, 6)
+        s = expand(phi, 6)
         assert s.certified
         oracle = _solve_coeffs(phi, s.ordering, 6)[:s.length()]
         assert list(s.coeffs) == oracle

@@ -56,7 +56,7 @@ def test_pointwise_certificate_matches_difference_table(p, shape, n_prec, seed):
     table = {r: rng.randrange(p ** n_prec) for r in residues(dom, m)}
     phi = StepFunction(p, dom, m, table, n_prec)
     try:
-        full = expand(phi, None, n_prec)
+        full = expand(phi, n_prec)
     except PrecisionExhausted:
         assume(False)  # finite domains are ordered at len + 1 digits only
     assert _certify(full, phi) is True
@@ -78,7 +78,7 @@ def test_certificate_rejects_a_prefix_that_agrees_on_the_ordering_points():
     # beyond the ordering prefix can reject the truncation
     dom = CompactSet.zp(2)
     phi = StepFunction(2, dom, 2, {0: 1, 1: 6, 2: 3, 3: 0}, 4)
-    full = expand(phi, None, 4)
+    full = expand(phi, 4)
     for n in range(1, full.length()):
         s = _series(full, full.coeffs[:n])
         assert _certify(s, phi) == certify_by_differences(s, phi)
@@ -88,7 +88,7 @@ def test_certificate_rejects_a_prefix_that_agrees_on_the_ordering_points():
 
 def test_evaluator_values_match_exact_basis():
     dom = CompactSet.from_balls(3, [(1, 1), (5, 2)])
-    full = expand(StepFunction(3, dom, 2, {r: r for r in residues(dom, 2)}, 5), None, 5)
+    full = expand(StepFunction(3, dom, 2, {r: r for r in residues(dom, 2)}, 5), 5)
     top = full.length() - 1
     # an ordering kept at 2 digits builds its tables again when asked for 5
     low = p_ordering(dom, top, 2)
@@ -144,14 +144,14 @@ def test_first_miss_matches_all_points(p, radius, lift, n_prec, form, seed):
         dom = CompactSet.zp(p)
     table = {r: rng.randrange(p ** n_prec) for r in residues(dom, m)}
     phi = StepFunction(p, dom, m, table, n_prec)
-    full = expand(phi, None, n_prec)
+    full = expand(phi, n_prec)
     lengths = {full.length()} | {rng.randrange(1, full.length() + 1) for _ in range(2)}
     bases = []
     for n in sorted(lengths):
         if form == "certify":
             bases.append(_certify_args(_series(full, full.coeffs[:n]), phi))
         else:
-            den, num = _newton_sum(full.ordering, full.coeffs[:n]).integer_form()
+            den, num = RatPoly.over(*_newton_sum(full.ordering, full.coeffs[:n])).integer_form()
             q = rng.choice([1, p, p * p, 7, 7 * p])
             bases.append(([c * q for c in num], den * q, rng.randrange(1, n_prec + 1)))
     classes = sorted(residues(dom, m))
@@ -182,7 +182,7 @@ def test_first_miss_evaluates_ceil_m_over_d_points_per_class():
     dom = CompactSet.zp(3)
     table = {r: rng.randrange(3 ** 4) for r in residues(dom, 3)}
     phi = StepFunction(3, dom, 3, table, 4)
-    full = expand(phi, None, 4)
+    full = expand(phi, 4)
     num, den, k = _certify_args(full, phi)
     digits = k + valp(den, 3)
     points = min(len(num), -(-digits // 3))

@@ -213,6 +213,16 @@ def test_member_bad_poly_exit_code(capsys):
         assert json.loads(out)["error"] == "ValueError"
 
 
+def test_member_refuses_a_power_above_the_cap_at_once(capsys):
+    import time
+    start = time.perf_counter()
+    code, out = run_cli(["member", "--poly", "x^100000000", "--adelic", "default=Zp"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": "power x^100000000 exceeds the cap x^256"}
+
+
 BIG_PRIME = 10 ** 42 + 63  # a 43-digit prime: trial division cannot reach it
 
 

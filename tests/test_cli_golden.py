@@ -49,6 +49,12 @@ CASES = {
                                   "default=Zp; p=2; balls: 0+p^1, 3+p^3; p=3; finite: "
                                   + ", ".join(str(i) for i in range(30)),
                                   "--degree", "30"],
+    "basis_finite_rational_p3": ["basis", "--adelic",
+                                 "default=Zp; p=3; finite: 0, 1, 2/5, 7, 10, 13, 22",
+                                 "--degree", "5"],
+    "basis_two_ball_primes": ["basis", "--adelic",
+                              "default=Zp; p=2; balls: 1+p^2, 2+p^3; p=5; balls: 0+p^1, 3+p^2",
+                              "--degree", "12"],
     "member_binomial": ["member", "--poly", "1/2*x^2-1/2*x", "--adelic", "default=Zp"],
     "member_false": ["member", "--poly", "1/2*x", "--adelic", "default=Zp"],
     "member_local_set": ["member", "--poly", "1/2*x", "--set", "p=2; balls: 0+p^1"],

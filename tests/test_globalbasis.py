@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padelic.globalbasis
 import padelic.ordering
 from padelic.errors import FactorLimitExceeded, NotFinitelyGenerated, PadelicError
 from padelic.globalbasis import (FACTOR_BOUND, _prime_factors, char_ideal, crt_combine,
@@ -17,7 +18,7 @@ from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, parse_adelic
 
-from oracles import membership_by_factoring, regular_basis_per_degree
+from oracles import crt_combine_by_fractions, membership_by_factoring, regular_basis_per_degree
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -46,10 +47,16 @@ def test_char_ideal_tracked_component():
     assert ideal.factored == {2: 4, 3: 1}
 
 
+def _part(p: int, k: int, f: RatPoly):
+    """f as an integer CRT part (p, k, den, num), numerators lowest degree first."""
+    den, num = f.integer_form()
+    return p, k, den, num[::-1]
+
+
 def test_crt_combine_congruences():
     f2 = RatPoly.make([1, Fraction(1, 3)])     # denominators foreign to 2
     f3 = RatPoly.make([2, Fraction(1, 2), 1])
-    out = crt_combine([(2, 3, f2), (3, 2, f3)])
+    out = RatPoly.over(*crt_combine([_part(2, 3, f2), _part(3, 2, f3)]))
     for i in range(3):
         c2 = f2.coeffs[i] if i <= f2.degree() else Fraction(0)
         c3 = f3.coeffs[i] if i <= f3.degree() else Fraction(0)
@@ -62,7 +69,7 @@ def test_crt_combine_congruences():
 def test_crt_combine_handles_negative_valuations():
     f2 = RatPoly.make([Fraction(3, 4)])  # v_2 = -2
     f3 = RatPoly.make([Fraction(1, 9)])  # v_3 = -2
-    out = crt_combine([(2, 2, f2), (3, 1, f3)])
+    out = RatPoly.over(*crt_combine([_part(2, 2, f2), _part(3, 1, f3)]))
     assert valp(out.coeffs[0] - Fraction(3, 4), 2) >= 2
     assert valp(out.coeffs[0] - Fraction(1, 9), 3) >= 1
 
@@ -73,13 +80,48 @@ def test_crt_combine_handles_negative_valuations():
 @settings(max_examples=50, deadline=None)
 def test_crt_combine_random_parts(deg, k2, k3, c2, c3):
     f2, f3 = RatPoly.make(c2), RatPoly.make(c3)
-    out = crt_combine([(2, k2, f2), (3, k3, f3)])
+    out = RatPoly.over(*crt_combine([_part(2, k2, f2), _part(3, k3, f3)]))
     def coeff(f, i):
         return f.coeffs[i] if i <= f.degree() else Fraction(0)
 
     for i in range(max(f2.degree(), f3.degree()) + 1):
         assert valp(coeff(out, i) - coeff(f2, i), 2) >= k2
         assert valp(coeff(out, i) - coeff(f3, i), 3) >= k3
+
+
+@given(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=2, max_size=3, unique=True),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_crt_combine_matches_fraction_crt(primes, seed):
+    rng = random.Random(seed)
+    parts = []
+    for p in primes:
+        # a denominator with powers of part primes and of the foreign 11 and 13
+        den = 1
+        for q in primes + [11, 13]:
+            den *= q ** rng.choice([0, 0, 1, 2, 3])
+        num = [rng.choice([0, rng.randrange(-10 ** 6, 10 ** 6)])
+               for _ in range(rng.choice([0, 1, 2, 5, 9]))]
+        parts.append((p, rng.randrange(1, 5), den, num))
+    big_d, f = crt_combine(parts)
+    expected = crt_combine_by_fractions(
+        [(p, k, RatPoly.over(den, num)) for p, k, den, num in parts])
+    assert RatPoly.over(big_d, f) == expected
+    assert big_d == math.prod(p ** max(valp(den, p) for _, _, den, _ in parts) for p in primes)
+    modulus = math.prod(p ** (k + valp(big_d, p)) for p, k, _, _ in parts)
+    assert all(0 <= c < modulus for c in f)
+
+
+def test_crt_combine_reads_one_valuation_per_part_and_prime(monkeypatch):
+    calls = []
+
+    def counted(x, p, valp=padelic.globalbasis.valp):
+        calls.append(p)
+        return valp(x, p)
+    monkeypatch.setattr(padelic.globalbasis, "valp", counted)
+    parts = [(p, 2, p ** 3 * 11, list(range(1, 31))) for p in (2, 3, 5)]
+    crt_combine(parts)
+    assert sorted(calls) == [2, 2, 2, 3, 3, 3, 5, 5, 5]
 
 
 def test_regular_basis_binomial_denominators():

@@ -223,10 +223,14 @@ def test_lifts_asked_in_any_order_match_fractions(p, shape, n_prec, seed):
         except PrecisionExhausted as exc:
             return str(exc)
 
+    def pulled_lift(n):
+        h = pulled.lift(n)  # integer numerators over p^w(n)
+        return RatPoly.over(p ** pulled.w[n], h)
+
     for n in [rng.randrange(top + 1) for _ in range(15)]:
         expected = outcome(lambda n: rational_lift_by_fractions(reference, n), n)
         assert outcome(lambda n: rational_lift(o, n), n) == expected
-        assert outcome(pulled.lift, n) == expected
+        assert outcome(pulled_lift, n) == expected
     with pytest.raises(ValueError):
         rational_lift(o, top + 1)
 

@@ -8,7 +8,8 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from padelic.polys import RatPoly, format_poly, parse_poly, poly_from_json, poly_to_json
+from padelic.polys import (MAX_POLY_DEGREE, RatPoly, format_poly, parse_poly, poly_from_json,
+                          poly_to_json)
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 polys = st.builds(RatPoly.make, st.lists(rationals, min_size=0, max_size=6))
@@ -84,3 +85,12 @@ def test_denominator():
     f = RatPoly.make([Fraction(1, 6), Fraction(3, 4)])
     assert f.denominator() == 12
     assert RatPoly.zero().denominator() == 1
+
+
+def test_parse_poly_caps_the_power_of_each_term():
+    assert MAX_POLY_DEGREE == 256
+    assert parse_poly("1/3*x^256+1/2*x").degree() == 256
+    assert parse_poly("x^200*x^56").degree() == 256
+    for text in ("x^257", "x^200*x^57 + 1", "1 - 2*x^100000000"):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            parse_poly(text)
