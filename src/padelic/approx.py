@@ -26,7 +26,6 @@ from .errors import CertificateFailed
 from .globalbasis import crt_combine, global_membership
 from .mahler import StepFunction, _first_miss, expand
 from .ordering import POrdering
-from .padic import DEFAULT_PRECISION
 from .polys import RatPoly
 from .sets import AdelicSet
 
@@ -58,22 +57,20 @@ class ApproxCertificate:
     attempts: int
 
 
-def approximate(r: ApproxRequest, n_prec: int = None) -> ApproxCertificate:
+def approximate(r: ApproxRequest) -> ApproxCertificate:
     """Rational polynomial within p^-k of each target, integer-valued on the set."""
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     if not r.targets:
         return ApproxCertificate(poly=RatPoly.zero(), closeness={}, member=True,
                                  degree=-1, attempts=1)
     last_error = None
-    for attempt, big_n in enumerate((n_prec, 2 * n_prec), start=1):
+    for attempt in (1, 2):
         try:
             f = _build(r, mult=attempt)
         except CertificateFailed as exc:
             last_error = exc
             continue
         bad = _verify(f, r)
-        if bad is None and global_membership(f, r.set, big_n):
+        if bad is None and global_membership(f, r.set):
             return ApproxCertificate(
                 poly=f, closeness={p: k for p, (_, k) in r.targets.items()},
                 member=True, degree=f.degree(), attempts=attempt)
@@ -95,13 +92,13 @@ def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> Tuple[int, List[int]]:
     """sum_n c_n f_n over the ordering basis, folded in nested Newton form, as
     (den, num): integer numerators, lowest degree first, over one denominator.
 
-    The e_n are scaled by their common denominator, so on a ball domain
-    (integer points) the fold runs in integers; the rational points of a
-    finite domain leave Fractions, whose denominators are cleared at the end.
+    The fold runs in integers on the points L a_n (``POrdering.numerators``),
+    with the e_n scaled by their common denominator; it gives the sum as a
+    polynomial in L x, whose coefficient of x^i is L^i times that of (L x)^i.
     """
     top = max((n for n, c in enumerate(coeffs) if c), default=-1)
-    pts = o.points
-    e = [Fraction(coeffs[n]) / prod(pts[n] - a for a in pts[:n]) for n in range(top + 1)]
+    pts = o.numerators
+    e = [Fraction(coeffs[n], prod(pts[n] - a for a in pts[:n])) for n in range(top + 1)]
     den = lcm(*(x.denominator for x in e))
     h: list = []  # lowest degree first
     for n in range(top, -1, -1):
@@ -110,8 +107,7 @@ def _newton_sum(o: POrdering, coeffs: Sequence[int]) -> Tuple[int, List[int]]:
         for i in range(len(h) - 1):
             h[i] -= a * h[i + 1]
         h[0] += e[n].numerator * (den // e[n].denominator)
-    q = lcm(*(c.denominator for c in h))
-    return den * q, [c.numerator * (q // c.denominator) for c in h]
+    return den, [c * o.scale ** i for i, c in enumerate(h)]
 
 
 def _verify(f: RatPoly, r: ApproxRequest):

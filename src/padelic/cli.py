@@ -83,9 +83,9 @@ def _cmd_basis(args) -> Dict[str, Any]:
 def _cmd_member(args) -> Dict[str, Any]:
     f = _poly_arg(args)
     if args.adelic is not None:
-        member = global_membership(f, parse_adelic(args.adelic), args.precision)
+        member = global_membership(f, parse_adelic(args.adelic))
     else:
-        member = local_membership(f, _set_arg(args), args.precision)
+        member = local_membership(f, _set_arg(args))
     return {"member": member, "poly": format_poly(f)}
 
 
@@ -104,7 +104,7 @@ def _cmd_approx(args) -> Dict[str, Any]:
     for p, t in _json_object(obj["targets"], "targets").items():
         t = _json_object(t, f"target at {p}")
         targets[int(p)] = (_step_fn_from_json(t["phi"]), _json_int(t["k"], f"k at {p}"))
-    cert = approximate(ApproxRequest(set=a, targets=targets), args.precision)
+    cert = approximate(ApproxRequest(set=a, targets=targets))
     return {"poly": format_poly(cert.poly),
             "certificate": {"closeness": {str(p): k for p, k in cert.closeness.items()},
                             "member": cert.member, "degree": cert.degree,

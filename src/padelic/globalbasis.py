@@ -176,7 +176,7 @@ def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFam
     return BasisFamily(set=a, polys=tuple(polys))
 
 
-def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
+def global_membership(f: RatPoly, a: AdelicSet) -> bool:
     """Whether f is integer-valued on the whole adelic set.
 
     Tracked primes use the p-ordering value criterion.  Untracked primes only
@@ -187,12 +187,10 @@ def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
     nothing is factored.  A pZ_p default is checked directly at each untracked
     prime of the denominator.
     """
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     if f.is_zero():
         return True
     for p, comp in a.tracked.items():
-        if not local_membership(f, comp, n_prec):
+        if not local_membership(f, comp):
             return False
     if a.default == FULL:
         if strip_primes(f.denominator(), a.tracked) == 1:
@@ -200,7 +198,7 @@ def global_membership(f: RatPoly, a: AdelicSet, n_prec: int = None) -> bool:
         den = lcm(*(b.denominator for b in f.binomial_coeffs()))
         return strip_primes(den, a.tracked) == 1
     for p in _prime_factors(f.denominator()) - set(a.tracked):
-        if not local_membership(f, CompactSet.pzp(p), n_prec):
+        if not local_membership(f, CompactSet.pzp(p)):
             return False
     return True
 

@@ -26,16 +26,17 @@ S = sum_{n<=top} c_n f_n (``_certify``) is this check with k = N and f = S;
 target's k and the polynomial's own denominator.
 
 ``_certify`` folds S into one integer polynomial.  With
-W = w(top), the residues a_j of the ordering points, g_k = prod_{j<k}(x - a_j)
-and u_k the unit part of g_k(a_k),
+W = w(top), the exact integer points L a_j of the ordering (L = 1 except on
+a finite domain; see ``ordering``), g_k(y) = prod_{j<k}(y - L a_j) and u_k
+the unit part of g_k(L a_k),
 
-    H(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(x)  mod p^(N + W)
+    H(y) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(y)  mod p^(N + W)
 
-satisfies H(x) = p^W S(x) mod p^(N + W) at every domain point x: there
-p^w(k) divides g_k(x), so knowing u_k^-1 modulo p^N is enough.  The check
-runs with F = H and D = p^W: one Horner pass per test point.
+satisfies H(L x) = p^W S(x) mod p^(N + W) at every domain point x: there
+p^w(k) divides g_k(L x), so knowing u_k^-1 modulo p^N is enough.  The check
+runs with F(x) = H(L x) and D = p^W: one Horner pass per test point.
 
-The residues, the powers p^w(k) and the u_k^-1 belong to the series'
+The integer points, the powers p^w(k) and the u_k^-1 belong to the series'
 ``POrdering``, which builds them on first use and keeps them.  ``expand``
 orders its domain once and pulls further steps from the same ordering as
 the series grows; ``evaluate`` and ``expand_in_basis`` read the tables the
@@ -134,15 +135,9 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
     finite = domain.is_finite()
     cap = len(domain.finite) - 1 if finite else _default_length_cap(phi)
     run_target = max(1, p ** phi.modulus_exp)
-    # a ball ordering needs no precision; on a finite domain every step
-    # valuation is exact and at most the valuation sum of one element's
-    # differences, so the ordering's budget is set above them all (never
-    # below len + 1: the first point's residue tie-break depends on it)
-    ord_prec = n_prec
-    if finite:
-        ord_prec = max(n_prec, cap + 2, 1 + max(
-            sum(valp(x - y, p) for y in domain.finite if y != x) for x in domain.finite))
-    o = p_ordering(domain, 0, ord_prec)
+    # the domain is ordered once, with no precision, and each coefficient
+    # pulls one more step of the same ordering
+    o = p_ordering(domain, 0, n_prec)
     coeffs: List[int] = []
     small = p ** n_prec
     run = 0
@@ -178,18 +173,21 @@ def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
     ``_first_miss``, one Horner pass modulo p^(N + W) each.
     """
     top = s.length() - 1
-    res, pw, uinv = s.ordering.basis_tables(top, s.precision)
+    o = s.ordering
+    res, pw, uinv = o.basis_tables(top, s.precision)
     p_w = pw[top]
-    mod = p_w * s.ordering.prime ** s.precision
-    # H = e_0 + (x - a_0)(e_1 + (x - a_1)(e_2 + ...)) with e_k = c_k u_k^-1 p^(W - w_k),
+    mod = p_w * o.prime ** s.precision
+    # H = e_0 + (y - L a_0)(e_1 + (y - L a_1)(e_2 + ...)) with e_k = c_k u_k^-1 p^(W - w_k),
     # multiplied out from the inside into coefficients h, lowest degree first
     h: List[int] = []
     for k in range(top, -1, -1):
         a = res[k]
-        h = [0] + h  # h <- h * (x - a) + e_k
+        h = [0] + h  # h <- h * (y - a) + e_k
         for i in range(len(h) - 1):
             h[i] = (h[i] - a * h[i + 1]) % mod
         h[0] = (h[0] + s.coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
+    if o.scale != 1:  # F(x) = H(L x)
+        h = [c * pow(o.scale, i, mod) % mod for i, c in enumerate(h)]
     return _first_miss(h[::-1], p_w, phi, s.precision) is None
 
 

@@ -2,46 +2,49 @@
 
 A p-ordering of a compact set E starts at a_0 and takes for a_n a point y of E
 that minimizes v_p(prod_{k<n} (y - a_k)); that minimum is w(n).  Among the
-minimizers the smallest is taken: the least non-negative integer for a union
-of balls, the least canonical residue modulo p^N (then the least rational)
-for a finite set.
+minimizers the least is taken: the least non-negative integer for a union of
+balls, the least rational for a finite set.  No precision is involved, so the
+ordering depends on the set alone.
 
-A union of balls is ordered in closed form by Bhargava's recursion
-(Bhargava, J. reine angew. Math. 490 (1997); Johnson, J. Algebraic Combin. 30
-(2009)).  E = Z_p has a_n = n and w(n) = v_p(n!).  If E lies in one class
-r mod p, then E = r + pE', a_n = r + p a'_n and w(n) = n + w_E'(n).  Otherwise
-a point's step valuation counts only the previous points of its own class, so
-the orderings of the parts of E in the classes mod p are merged, taking the
-least (w, point) each time.  The points are exact non-negative integers, and
-no precision is involved.
+Every set is ordered by Bhargava's recursion (Bhargava, J. reine angew. Math.
+490 (1997); Johnson, J. Algebraic Combin. 30 (2009)), which holds for any
+compact subset of Z_p.  E = Z_p has a_n = n and w(n) = v_p(n!), and a single
+point x is the one step (x, 0).  If E lies in one class r mod p, then
+E = r + pE', a_n = r + p a'_n and w(n) = n + w_E'(n).  Otherwise a point's
+step valuation counts only the previous points of its own class, so the
+orderings of the parts of E in the classes mod p are merged, taking the
+least (w, point) each time.
 
-A finite set is ordered greedily with the exact valuation sums of every
-remaining element.  It is the only ordering that can raise
-PrecisionExhausted: a step valuation at n_prec digits or more is refused.
+A finite set enters the recursion as balls of radius INF, after its elements
+are multiplied by the lcm L of their denominators.  L is positive and prime
+to p, so it keeps every valuation of a difference and the order of the
+points, and the recursion runs on the exact integers L a_n.  A ball union has
+L = 1.
 
-Either ordering is a stream of steps (a_n, w(n)), and step n never depends
-on how many steps follow, so every prefix of an ordering is itself the
-ordering of that length.  ``POrdering`` is that stream, pulled only as far as
-a caller asks: it also keeps the running product g_n = prod_{k<n} (x - a_k)
-modulo p^N behind the lifts, and the residues, powers p^w(k) and unit
-inverses behind the basis values, so each set is ordered once however many
-degrees or evaluations follow.
+The ordering is a stream of steps (a_n, w(n)), and step n never depends on
+how many steps follow, so every prefix of an ordering is itself the ordering
+of that length.  ``POrdering`` is that stream, pulled only as far as a caller
+asks: it also keeps the running product g_n = prod_{k<n} (x - a_k) modulo p^N
+behind the lifts, and the powers p^w(k) and unit inverses behind the basis
+values, so each set is ordered once however many degrees or evaluations
+follow.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import merge
 from itertools import count, islice
+from math import lcm
 from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import LengthExceedsSet, PrecisionExhausted
-from .padic import DEFAULT_PRECISION, Rat, residue, valp
+from .padic import DEFAULT_PRECISION, INF, Rat, residue, valp
 from .polys import RatPoly, horner_mod
 from .sets import CompactSet
 from .utils import v_of_factorial
 
 Point = Union[int, Fraction]
-Step = Tuple[Point, int]  # (a_n, w(n))
+Step = Tuple[int, int]  # (L a_n, w(n))
 
 
 class POrdering:
@@ -52,16 +55,18 @@ class POrdering:
     object serves every consumer: ``lift(n)`` reads the running product
     g_n = prod_{k<n} (x - a_k) modulo p^N, and ``basis_values`` the tables
     of ``basis_tables``, which are built only when first asked for.
+    ``numerators`` holds the exact integers L a_n, with ``scale`` = L the
+    lcm of a finite set's denominators (1 for a ball union).
     """
 
     def __init__(self, s: CompactSet, n_prec: int):
         self.prime, self.set, self.precision = s.prime, s, n_prec
         self.points: Tuple[Point, ...] = ()
+        self.numerators: Tuple[int, ...] = ()
         self.w: Tuple[int, ...] = ()
-        self._steps = _ordering_steps(s, n_prec)
+        self.scale, self._steps = _ordering_steps(s)
         self._g = [1]  # g_k modulo p^N, k = len(self._g) - 1
         self._table_prec = n_prec
-        self._res: List[int] = []
         self._pw: List[int] = []
         self._uinv: List[int] = []
 
@@ -75,8 +80,10 @@ class POrdering:
             if self.set.is_finite() and length >= len(self.set.finite):
                 raise LengthExceedsSet(
                     f"ordering of length {length} from a set of {len(self.set.finite)} elements")
-            points, w = zip(*islice(self._steps, length - self.length()))
-            self.points += points
+            nums, w = zip(*islice(self._steps, length - self.length()))
+            self.numerators += nums
+            self.points += nums if self.scale == 1 else tuple(
+                Fraction(a, self.scale) for a in nums)
             self.w += w
         return self
 
@@ -101,25 +108,21 @@ class POrdering:
         mod = self.prime ** wn
         return [c % mod for c in self._g[:-1]] + [1]  # g is monic, and so is the lift
 
-    def basis_tables(self, n: int, n_prec: int) -> Tuple[List[int], List[int], List[int]]:
-        """Residues of a_0..a_n, p^w(k) and u_k^-1 modulo p^N for k <= n.
+    def basis_tables(self, n: int, n_prec: int) -> Tuple[Sequence[int], List[int], List[int]]:
+        """The integer points L a_0..L a_n, and p^w(k) and u_k^-1 modulo p^N
+        for k <= n.
 
-        u_k is the unit part of g_k(a_k), read from that product modulo
-        p^(N + w(k)).  Ball points are exact integers; a finite set's step
-        valuations stay below its precision P, so its points are kept modulo
-        p^(N + P).  The tables grow with the ordering and are rebuilt only
-        for an N above every N asked for before.
+        u_k is the unit part of prod_{j<k} (L a_k - L a_j), read from that
+        product modulo p^(N + w(k)); the points are exact, so this holds
+        however large w(k) is.  A point x of the set enters the tables as
+        L x.  The tables grow with the ordering and are rebuilt only for an N
+        above every N asked for before.
         """
         self.extend(n)
         if n_prec > self._table_prec:
-            self._table_prec, self._res, self._pw, self._uinv = n_prec, [], [], []
+            self._table_prec, self._pw, self._uinv = n_prec, [], []
         p, small = self.prime, self.prime ** self._table_prec
-        if self.set.is_finite():
-            mod = small * p ** self.precision
-            self._res.extend(residue(a, mod) for a in self.points[len(self._res):n + 1])
-        else:
-            self._res.extend(self.points[len(self._res):n + 1])
-        res = self._res
+        res = self.numerators
         for k in range(len(self._uinv), n + 1):
             pw = p ** self.w[k]
             mod = pw * small
@@ -133,13 +136,14 @@ class POrdering:
     def basis_values(self, x: Rat, n: int, n_prec: int) -> List[int]:
         """[f_k(x) mod p^N for k = 0..n] at a domain point x.
 
-        g_k(x) is divisible by p^w(k) there, so f_k(x) is g_k(x) mod
-        p^(N + w(k)), divided by p^w(k), times u_k^-1.
+        g_k(x) is divisible by p^w(k) there, so f_k(x) is
+        prod_{j<k} (L x - L a_j) mod p^(N + w(k)), divided by p^w(k), times
+        u_k^-1.
         """
         res, pw, uinv = self.basis_tables(n, n_prec)
         small = self.prime ** n_prec
         top = pw[n] * small
-        x = residue(x, top)
+        x = residue(self.scale * x, top)
         out = [1]
         prefix = 1
         for k in range(1, n + 1):
@@ -151,9 +155,9 @@ class POrdering:
 def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
     """The p-ordering of s pulled to a_length (see the module docstring).
 
-    A ball union needs no precision.  A finite set raises PrecisionExhausted
-    when a step valuation reaches n_prec digits, and LengthExceedsSet when it
-    has too few elements.
+    The ordering needs no precision: n_prec is the N of ``lift`` and
+    ``point_residues``.  A finite set with too few elements raises
+    LengthExceedsSet.
     """
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
@@ -162,44 +166,36 @@ def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
     return POrdering(s, n_prec).extend(length)
 
 
-def _ordering_steps(s: CompactSet, n_prec: int) -> Iterator[Step]:
-    """The steps (a_n, w(n)) of s, n = 0, 1, ...; a finite set's run out."""
+def _ordering_steps(s: CompactSet) -> Tuple[int, Iterator[Step]]:
+    """(L, the steps (L a_n, w(n)) of s, n = 0, 1, ...); a finite set's run out.
+
+    A finite set is scaled by the lcm L of its denominators and enters
+    Bhargava's recursion as balls of radius INF; a ball union has L = 1.
+    """
     if s.is_finite():
-        return _p_ordering_finite(s, n_prec)
-    return _p_ordering_balls(s.prime, s.balls)
-
-
-def _p_ordering_finite(s: CompactSet, n_prec: int) -> Iterator[Step]:
-    p = s.prime
-    mod = p ** n_prec
-    remaining = sorted(s.finite, key=lambda x: (residue(x, mod), x))
-    a = remaining.pop(0)
-    yield a, 0
-    # sums[i] = sum of valp(remaining[i] - a_k) over the points chosen so far
-    sums = [0] * len(remaining)
-    while remaining:
-        sums = [v + valp(y - a, p) for v, y in zip(sums, remaining)]
-        val = min(sums)
-        if val >= n_prec:
-            raise PrecisionExhausted(f"step valuation {val} >= precision {n_prec}")
-        i = sums.index(val)
-        a = remaining.pop(i)
-        del sums[i]
-        yield a, val
+        scale = lcm(*(x.denominator for x in s.finite))
+        points = [(x.numerator * (scale // x.denominator), INF) for x in s.finite]
+        return scale, _p_ordering_balls(s.prime, points)
+    return 1, _p_ordering_balls(s.prime, s.balls)
 
 
 def _p_ordering_balls(p: int, balls: Sequence[Tuple[int, int]]) -> Iterator[Step]:
     """The steps of the union E of the balls c + p^k Z_p, by Bhargava's recursion.
 
-    While every ball lies in one class r mod p, E = r + pE' is peeled into an
-    offset, a scale p^j and the depth j, so w(n) = j n + w_inner(n).  The inner
-    set is then Z_p (a ball of radius 0) or meets several classes mod p.  Its
+    A ball of radius k = INF is the point c, and one point alone is the one
+    step (c, 0).  While every ball lies in one class r mod p, E = r + pE' is
+    peeled into an offset, a scale p^j and the depth j, so
+    w(n) = j n + w_inner(n).  The inner set is then Z_p (a ball of radius 0)
+    or meets several classes mod p.  Its
     parts in the classes are sub-unions of it with fewer balls, so the
     recursion nests only at splits and never deeper than the number of balls.
     Each part's stream increases in (w, point): a point that tied at w with a
     smaller one would have been taken first.  So heapq.merge on (w, point)
     takes the least head each time.
     """
+    if len(balls) == 1 and balls[0][1] == INF:
+        yield balls[0][0], 0
+        return
     offset, scale, depth = 0, 1, 0
     classes = {c % p for c, _ in balls}
     while len(classes) == 1 and all(k for _, k in balls):
@@ -254,15 +250,16 @@ def _times_linear(g: List[int], a: int, mod: int) -> List[int]:
     return out
 
 
-def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
+def local_membership(f: RatPoly, s: CompactSet) -> bool:
     """Whether f maps the set into Z_p, via values at p-ordering points.
 
-    With f = F/D, F integral, f(a) lies in Z_p exactly when F(a) = 0 mod
-    p^v_p(D), so the values are tested on integer residues.  When p does not
-    divide D, f maps all of Z_p into Z_p and no ordering is built.
+    f of degree d maps the set into Z_p exactly when f(a_0), ..., f(a_d) lie
+    in Z_p, at the points of its p-ordering (every element of a finite set
+    with at most d + 1 elements).  With f = F/D, F integral, f(a) lies in Z_p
+    exactly when F(a) = 0 mod p^v_p(D), so the values are tested on integer
+    residues.  When p does not divide D, f maps all of Z_p into Z_p and no
+    ordering is built.  No precision is involved.
     """
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     p = s.prime
     den, num = f.integer_form()
     v = valp(den, p)
@@ -272,7 +269,7 @@ def local_membership(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
     if s.is_finite() and d >= len(s.finite):
         pts: List[Point] = list(s.finite)
     else:
-        pts = list(p_ordering(s, d, n_prec).points)
+        pts = list(p_ordering(s, d).points)
     mod = p ** v
     num = [c % mod for c in num]
     return all(horner_mod(num, residue(a, mod), mod) == 0 for a in pts)

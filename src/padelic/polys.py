@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from typing import List, Sequence, Tuple
 
-from .padic import Rat, valp
+from .padic import Rat
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,6 @@ class RatPoly:
             out.append(sum((-1) ** (n - k) * comb(n, k) * values[k] for k in range(n + 1)))
         return out
 
-    def min_valuation_on_zp(self, p: int):
-        """inf over Z_p of v_p(f(x)); equals the min binomial-basis coefficient valuation."""
-        if self.is_zero():
-            from .padic import INF
-            return INF
-        return min(valp(b, p) for b in self.binomial_coeffs())
-
     def __str__(self):
         return format_poly(self)
 
@@ -216,11 +209,3 @@ def format_poly(f: RatPoly) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def poly_to_json(f: RatPoly) -> list:
-    return [{"num": c.numerator, "den": c.denominator} for c in f.coeffs]
-
-
-def poly_from_json(obj: list) -> RatPoly:
-    return RatPoly.make([Fraction(c["num"], c["den"]) for c in obj])

@@ -22,9 +22,10 @@ UNKNOWN = "unknown"
 FULL = "Zp"
 PZP = "pZp"
 
-#: Most balls a set may be given with.  The ball ordering recurses once per
-#: split, so many nested balls would exhaust the interpreter stack.
-MAX_BALLS = 256
+#: Most balls or elements a set may be given with.  The ordering recurses
+#: once per split, so many nested balls or points would exhaust the
+#: interpreter stack.
+MAX_PARTS = 256
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,10 @@ class CompactSet:
 
 def normalize(s: CompactSet) -> CompactSet:
     """Canonical form: disjoint balls sorted by (k, center), or deduped finite list."""
-    if s.balls is not None and len(s.balls) > MAX_BALLS:
-        raise ValueError(f"{len(s.balls)} balls given, at most {MAX_BALLS} allowed")
+    parts = s.balls if s.balls is not None else s.finite
+    if len(parts) > MAX_PARTS:
+        kind = "balls" if s.balls is not None else "elements"
+        raise ValueError(f"{len(parts)} {kind} given, at most {MAX_PARTS} allowed")
     p = s.prime
     if not _is_int(p) or not is_prime(p):
         raise ValueError(f"modulus {p!r} is not a prime")

@@ -1,13 +1,15 @@
 """Slow reference algorithms that the tests compare the library against.
 
 Each is an earlier, more direct implementation of something the library now
-computes another way; none of them is used by ``src/``.
+computes another way, or an independent way to check it; none of them is used
+by ``src/``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from typing import List, Sequence, Tuple
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
@@ -17,7 +19,7 @@ from padelic.globalbasis import BasisFamily, _xgcd
 from padelic.mahler import MahlerSeries, StepFunction
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly)
-from padelic.padic import DEFAULT_PRECISION, residue, valp
+from padelic.padic import DEFAULT_PRECISION, INF, residue, valp
 from padelic.polys import RatPoly, horner_mod
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p, residues
 from padelic.utils import primes_up_to, v_of_factorial
@@ -139,7 +141,7 @@ def membership_by_factoring(f: RatPoly, a: AdelicSet) -> bool:
     if not all(local_membership(f, comp) for comp in a.tracked.values()):
         return False
     for p in trial_division_primes(f.denominator()) - set(a.tracked):
-        if a.default == FULL and f.min_valuation_on_zp(p) < 0:
+        if a.default == FULL and min_valuation_on_zp(f, p) < 0:
             return False
         if a.default == PZP and not local_membership(f, CompactSet.pzp(p)):
             return False
@@ -157,6 +159,23 @@ def adelic_membership_by_factoring(g: AdelicPoly, o: AdelicOrdering) -> bool:
         if not trial_division_primes(g.default(Fraction(k)).denominator) <= covered:
             return False
     return True
+
+
+def min_valuation_on_zp(f: RatPoly, p: int):
+    """inf over Z_p of v_p(f(x)); equals the min binomial-basis coefficient valuation."""
+    if f.is_zero():
+        return INF
+    return min(valp(b, p) for b in f.binomial_coeffs())
+
+
+def sieve_primes_below(n: int) -> List[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = bytes(min(n, 2))
+    for d in range(2, isqrt(max(n - 1, 0)) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, n, d)))
+    return [i for i, flag in enumerate(flags) if flag]
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -314,3 +333,30 @@ def _greedy_ball_steps(s: CompactSet, n_prec: int):
         for j, counter in enumerate(counters):
             counter[best_r % p ** (j + 1)] += 1
         yield best_r, best_val
+
+
+def greedy_finite_ordering(s: CompactSet, n_prec: int = DEFAULT_PRECISION
+                           ) -> Tuple[List[Fraction], List[int]]:
+    """Points and w of a whole finite set by the greedy search.
+
+    Each step takes the remaining element with the least exact valuation sum
+    v_p(prod_k (y - a_k)); ties go to the least residue modulo p^N, then the
+    least rational, so the points depend on n_prec but w does not.  Raises
+    PrecisionExhausted when a step valuation reaches n_prec.
+    """
+    p = s.prime
+    mod = p ** n_prec
+    remaining = sorted(s.finite, key=lambda x: (residue(x, mod), x))
+    points, w = [remaining.pop(0)], [0]
+    # sums[i] = sum of valp(remaining[i] - a_k) over the points chosen so far
+    sums = [0] * len(remaining)
+    while remaining:
+        sums = [v + valp(y - points[-1], p) for v, y in zip(sums, remaining)]
+        val = min(sums)
+        if val >= n_prec:
+            raise PrecisionExhausted(f"step valuation {val} >= precision {n_prec}")
+        i = sums.index(val)
+        points.append(remaining.pop(i))
+        w.append(val)
+        del sums[i]
+    return points, w

@@ -33,7 +33,7 @@ def test_parity_indicator():
     # phi = parity on Z_2 at k=1: x itself qualifies, so any certified answer
     # must agree with parity mod 2 everywhere
     phi = step(2, 1, {0: 0, 1: 1}, 4)
-    cert = approximate(ApproxRequest(set=ZHAT, targets={2: (phi, 1)}), 6)
+    cert = approximate(ApproxRequest(set=ZHAT, targets={2: (phi, 1)}))
     assert cert.member
     f = cert.poly
     for r in range(16):
@@ -47,7 +47,7 @@ def test_two_prime_example():
     phi2 = step(2, 3, {r: r * r % 64 for r in range(8)}, 6)
     phi3 = step(3, 0, {0: 2}, 6)
     cert = approximate(
-        ApproxRequest(set=ZHAT, targets={2: (phi2, 3), 3: (phi3, 2)}), 6)
+        ApproxRequest(set=ZHAT, targets={2: (phi2, 3), 3: (phi3, 2)}))
     f = cert.poly
     assert cert.member and global_membership(f, ZHAT)
     for r in range(32):
@@ -58,7 +58,7 @@ def test_two_prime_example():
 def test_single_prime_matches_partial_sum():
     random.seed(2)
     phi = step(3, 1, {r: random.randrange(3 ** 6) for r in range(3)}, 6)
-    cert = approximate(ApproxRequest(set=ZHAT, targets={3: (phi, 4)}), 6)
+    cert = approximate(ApproxRequest(set=ZHAT, targets={3: (phi, 4)}))
     for r in range(27):
         assert valp(cert.poly(Fraction(r)) - phi.value_at(r), 3) >= 4
 
@@ -67,7 +67,7 @@ def test_tracked_ball_component():
     dom = CompactSet.from_balls(2, [(1, 1)])  # 1 + 2Z_2
     a = AdelicSet(tracked={2: dom}, default=FULL)
     phi = StepFunction(2, dom, 2, {1: 5, 3: 9}, 6)
-    cert = approximate(ApproxRequest(set=a, targets={2: (phi, 2)}), 6)
+    cert = approximate(ApproxRequest(set=a, targets={2: (phi, 2)}))
     assert cert.member
     for r in sorted(residues(dom, 5)):
         assert valp(cert.poly(Fraction(r)) - phi.value_at(r), 2) >= 2
@@ -86,7 +86,7 @@ def test_request_validation():
 def test_monotone_in_k():
     phi2 = step(2, 2, {r: (3 * r + 1) % 16 for r in range(4)}, 4)
     for k in (1, 2, 3):
-        cert = approximate(ApproxRequest(set=ZHAT, targets={2: (phi2, k)}), 6)
+        cert = approximate(ApproxRequest(set=ZHAT, targets={2: (phi2, k)}))
         assert cert.member
         for r in range(16):
             assert valp(cert.poly(Fraction(r)) - phi2.value_at(r), 2) >= k

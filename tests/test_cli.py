@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padelic.ordering
 from padelic.cli import _HANDLERS, run
 
 
@@ -156,10 +157,10 @@ def test_validation_exit_code(capsys):
 
 
 def test_diagnostic_exit_code(capsys):
-    # two 2-adically close points need more digits than allowed
+    # the lift of degree 5 needs w(5) = 4 digits, more than allowed
     code, out = run_cli(
-        ["ordering", "--set", "p=2; finite: 0, 4096", "--length", "2",
-         "--precision", "4"], capsys)
+        ["basis", "--adelic", "default=Zp; p=2; balls: 0+p^1, 3+p^3", "--degree", "12",
+         "--precision", "3"], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "PrecisionExhausted"
 
@@ -414,6 +415,26 @@ def test_ball_count_is_capped(capsys, count, expected):
         assert len(json.loads(out)["points"]) == 21
     else:
         assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("count, expected", [(256, 0), (257, 2)])
+def test_element_count_is_capped(capsys, monkeypatch, count, expected):
+    # in the chain 0, 1, 2, 4, ... each element sits one split deeper in the
+    # ordering's recursion; a refused set is refused before it is ordered
+    started = []
+
+    def counted(s, steps=padelic.ordering._ordering_steps):
+        started.append(s.prime)
+        return steps(s)
+    monkeypatch.setattr(padelic.ordering, "_ordering_steps", counted)
+    elems = ", ".join(["0"] + [str(2 ** i) for i in range(count - 1)])
+    code, out = run_cli(["ordering", "--set", f"p=2; finite: {elems}", "--length", "256"],
+                        capsys)
+    assert code == expected
+    if expected == 0:
+        assert len(json.loads(out)["points"]) == 256 and started == [2]
+    else:
+        assert json.loads(out)["error"] == "ValueError" and started == []
 
 
 _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}

@@ -227,9 +227,9 @@ def test_regular_basis_matches_per_degree_oracle(a, degree, n_prec):
 def test_regular_basis_runs_one_search_per_prime(monkeypatch):
     searches = []
     for name in ("_ordering_steps",):
-        def counted(s, n_prec, search=getattr(padelic.ordering, name)):
+        def counted(s, search=getattr(padelic.ordering, name)):
             searches.append(s.prime)
-            return search(s, n_prec)
+            return search(s)
         monkeypatch.setattr(padelic.ordering, name, counted)
     a = parse_adelic("default=Zp; p=2; balls: 0+p^1, 3+p^3; p=5; balls: 1+p^1; p=3; finite: "
                      + ", ".join(str(i) for i in range(30)))

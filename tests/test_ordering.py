@@ -7,17 +7,18 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import padelic.ordering
 from padelic.errors import LengthExceedsSet, PrecisionExhausted
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly, rational_lift)
-from padelic.padic import valp
+from padelic.padic import residue, valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
-from oracles import greedy_ball_ordering, membership_at_points, rational_lift_by_fractions
+from oracles import (greedy_ball_ordering, greedy_finite_ordering, membership_at_points,
+                     rational_lift_by_fractions)
 
 
 def oracle_w_finite(elems, p):
@@ -97,10 +98,50 @@ def test_length_exceeds_set():
         p_ordering(CompactSet.from_finite(2, [1, 2]), 2)
 
 
-def test_precision_exhausted_on_close_points():
+def test_close_points_need_no_precision():
     s = CompactSet.from_finite(2, [0, 2 ** 12])
-    with pytest.raises(PrecisionExhausted):
-        p_ordering(s, 1, n_prec=4)
+    assert p_ordering(s, 1, n_prec=4).w == (0, 12)
+
+
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.tuples(st.integers(-50, 50), st.sampled_from([1, 7, 11, 13]),
+                          st.one_of(st.none(), st.integers(1, 20))),
+                min_size=1, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_finite_ordering_matches_greedy_search(p, draws):
+    # rational elements, some of them paired with a point p^e away
+    elems = set()
+    for num, den, e in draws:
+        elems.add(Fraction(num, den))
+        if e is not None:
+            elems.add(Fraction(num, den) + p ** e)
+    s = CompactSet.from_finite(p, sorted(elems))
+    top = len(s.finite) - 1
+    o = p_ordering(s, top, 1)
+    # the greedy search decides every step below each element's valuation sum
+    n_prec = 1 + max(sum(valp(x - y, p) for y in s.finite if y != x) for x in s.finite)
+    assert list(o.w) == greedy_finite_ordering(s, n_prec)[1]
+    assert sorted(o.points) == list(s.finite)
+    sums = [{y: sum(valp(y - b, p) for b in o.points[:n]) for y in o.points[n:]}
+            for n in range(top + 1)]
+    assert list(o.w) == [sums[n][a] for n, a in enumerate(o.points)]
+    # each point is the least of the remaining elements with the least sum
+    assert list(o.w) == [min(sums[n].values()) for n in range(top + 1)]
+    assert all(a == min(y for y, v in sums[n].items() if v == o.w[n])
+               for n, a in enumerate(o.points))
+    for n_prec in (8, 64):
+        assert p_ordering(s, top, n_prec).points == o.points
+
+
+def test_finite_basis_values_beyond_the_ordering_precision():
+    # w(3) = 12 exceeds both N = 4 and the ordering's 2 digits, so the basis
+    # tables need the points exactly, not modulo p^(N + 2)
+    s = CompactSet.from_finite(2, [0, 4096, 1, Fraction(1, 3)])
+    o = p_ordering(s, 3, 2)
+    assert o.w == (0, 0, 1, 12)
+    for x in s.finite:
+        assert o.basis_values(x, 3, 4) == [
+            residue(basis_rational(o, k)(x), 2 ** 4) for k in range(4)]
 
 
 def test_w_is_ordering_invariant():
@@ -197,11 +238,7 @@ def test_local_membership_matches_fraction_values(p, shape, seed):
                           for _ in range(rng.randrange(1, 8))])
         if valp(f.denominator(), p) == 0:
             assert local_membership(f, s)
-        try:
-            expected = membership_at_points(f, s)
-        except PrecisionExhausted:
-            continue
-        assert local_membership(f, s) == expected
+        assert local_membership(f, s) == membership_at_points(f, s)
 
 
 @given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
@@ -211,10 +248,7 @@ def test_lifts_asked_in_any_order_match_fractions(p, shape, n_prec, seed):
     rng = random.Random(seed)
     s = _membership_domain(p, shape, rng)
     top = min(12, len(s.finite) - 1) if s.is_finite() else 12
-    try:
-        reference = p_ordering(s, top, n_prec)
-    except PrecisionExhausted:
-        assume(False)
+    reference = p_ordering(s, top, n_prec)
     o, pulled = p_ordering(s, top, n_prec), POrdering(s, n_prec)
 
     def outcome(lift, n):
@@ -242,13 +276,13 @@ def test_local_membership_unit_denominator_builds_no_ordering(monkeypatch):
     o = p_ordering(s, 12, 3)
     assert (list(o.points), list(o.w)) == greedy_ball_ordering(s, 12, 32)
     f = RatPoly.make([0] * 12 + [Fraction(1, 6)])
-    assert local_membership(f, s, 3) is membership_at_points(f, s, 32) is False
+    assert local_membership(f, s) is membership_at_points(f, s, 32) is False
     # a denominator prime to 2 decides membership without any ordering
     def no_ordering(*args):
         raise AssertionError("p_ordering called")
     monkeypatch.setattr(padelic.ordering, "p_ordering", no_ordering)
     assert local_membership(RatPoly.make([0, Fraction(5, 7)] + [0] * 10 + [Fraction(1, 3)]),
-                            s, 3)
+                            s)
 
 
 @given(st.sampled_from([2, 3, 5, 7]),

@@ -1,16 +1,16 @@
-"""Integer helpers: the primality test against trial division."""
+"""Integer helpers: the primality test against a sieve and trial division."""
 from __future__ import annotations
 
 import pytest
 
 from padelic.utils import MILLER_RABIN_BOUND, is_prime
 
-from oracles import trial_division_is_prime
+from oracles import sieve_primes_below, trial_division_is_prime
 
 
 def test_is_prime_matches_trial_division_below_a_million():
-    assert [n for n in range(10 ** 6) if is_prime(n)] == [
-        n for n in range(10 ** 6) if trial_division_is_prime(n)]
+    # the sieve finds the same primes as trial division, in a fraction of the time
+    assert [n for n in range(10 ** 6) if is_prime(n)] == sieve_primes_below(10 ** 6)
 
 
 def test_is_prime_on_strong_pseudoprimes():
