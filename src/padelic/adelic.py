@@ -71,8 +71,9 @@ class AdelicOrdering:
 def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrdering:
     """Adelic ordering with `length` points (indices 0..length-1).
 
-    Tracked components come from the per-prime p-orderings; untracked
-    components are the diagonal sequence 0, 1, 2, ...
+    Tracked components come from the per-prime p-orderings, their points
+    reduced modulo p^n_prec; untracked components are the diagonal sequence
+    0, 1, 2, ...
     """
     if n_prec is None:
         n_prec = DEFAULT_PRECISION
@@ -82,9 +83,9 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
         raise NoAdelicOrdering(
             "pZ_p default gives step valuation >= 1 at every untracked prime")
     top = length - 1
-    local = {p: p_ordering(comp, top, n_prec) for p, comp in a.tracked.items()}
-    res = {p: o.point_residues() for p, o in local.items()}
-    points = [AdelicPoint(tracked={p: PAdicInt(p, res[p][n], n_prec) for p in local},
+    local = {p: p_ordering(comp, top) for p, comp in a.tracked.items()}
+    points = [AdelicPoint(tracked={p: PAdicInt(p, residue(o.points[n], p ** n_prec), n_prec)
+                                   for p, o in local.items()},
                           default=Fraction(n))
               for n in range(length)]
     exceptions = []

@@ -18,7 +18,7 @@ from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
-from .polys import RatPoly, format_poly, parse_poly
+from .polys import MAX_POLY_DEGREE, RatPoly, format_poly, parse_poly
 from .sets import (AdelicSet, CompactSet, _json_int, _json_list, _json_object,
                    adelic_from_json, adelic_to_json, parse_adelic, parse_set,
                    rational_from_json, set_from_json)
@@ -56,14 +56,14 @@ def _cmd_ordering(args) -> Dict[str, Any]:
     s = _set_arg(args)
     if args.length < 1:
         raise ValueError("--length counts points and must be >= 1")
-    o = p_ordering(s, args.length - 1, args.precision)
-    return {"p": s.prime, "points": [_rat_json(a) for a in o.points],
-            "w": list(o.w), "N": o.precision}
+    o = p_ordering(s, args.length - 1)
+    return {"p": s.prime, "points": [_rat_json(a) for a in o.points], "w": list(o.w),
+            "N": DEFAULT_PRECISION if args.precision is None else args.precision}
 
 
 def _cmd_charideal(args) -> Dict[str, Any]:
     a = _adelic_arg(args)
-    ideal = char_ideal(a, args.degree, args.precision)
+    ideal = char_ideal(a, args.degree)
     if not ideal.is_fractional():
         return {"degree": args.degree, "finitely_generated": False,
                 "witness": ideal.witness}
@@ -74,7 +74,7 @@ def _cmd_charideal(args) -> Dict[str, Any]:
 
 def _cmd_basis(args) -> Dict[str, Any]:
     a = _adelic_arg(args)
-    fam = regular_basis(a, args.degree, args.precision)
+    fam = regular_basis(a, args.degree)
     return {"degree": args.degree,
             "polys": [format_poly(f) for f in fam.polys],
             "lc_denominators": [f.lc().denominator for f in fam.polys]}
@@ -215,6 +215,9 @@ def run(argv=None) -> int:
     try:
         if args.precision is not None and args.precision < 1:
             raise ValueError("--precision counts p-adic digits and must be >= 1")
+        if args.degree > MAX_POLY_DEGREE or args.length > MAX_POLY_DEGREE + 1:
+            raise ValueError(
+                f"--degree is capped at {MAX_POLY_DEGREE}, --length at {MAX_POLY_DEGREE + 1}")
         result = _HANDLERS[args.verb](args)
     except DIAGNOSTIC_ERRORS as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)

@@ -8,6 +8,8 @@ p^w(n); ``crt_combine`` glues the lifts modulo p into F / D, D = prod_p
 p^w_p(n), and a Bezout step on the top numerator makes the leading
 coefficient exactly 1/D.  Only the finished polynomial becomes a
 ``RatPoly``.  One ``POrdering`` per prime serves every degree of a call.
+No precision is involved: a lift keeps g_n modulo a power of p that grows
+with w(n), so the ideal and the basis are exact at every degree.
 
 The output is that of a CRT over Q that clears each coefficient's
 denominators by a scale S of its own, a divisor of D.  Write D = T S with
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
-from .padic import DEFAULT_PRECISION, valp
+from .padic import valp
 from .polys import RatPoly
 from .sets import FULL, PZP, AdelicSet, CompactSet
 from .utils import primes_up_to, strip_primes, v_of_factorial
@@ -64,12 +66,12 @@ class BasisFamily:
 class _Locals(dict):
     """prime -> the POrdering of the set's component there, made on first use."""
 
-    def __init__(self, a: AdelicSet, n_prec: int):
+    def __init__(self, a: AdelicSet):
         super().__init__()
-        self.set, self.precision = a, n_prec
+        self.set = a
 
     def __missing__(self, p: int) -> POrdering:
-        out = self[p] = POrdering(self.set.component(p), self.precision)
+        out = self[p] = POrdering(self.set.component(p))
         return out
 
 
@@ -84,13 +86,11 @@ def _component_w(a: AdelicSet, p: int, n: int, local: _Locals) -> int:
     return local[p].extend(n).w[n]
 
 
-def char_ideal(a: AdelicSet, n: int, n_prec: int = None) -> CharIdeal:
+def char_ideal(a: AdelicSet, n: int) -> CharIdeal:
     """The degree-n characteristic module of the set, as a factored fractional ideal."""
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _char_ideal(a, n, _Locals(a, n_prec))
+    return _char_ideal(a, n, _Locals(a))
 
 
 def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
@@ -148,13 +148,11 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return a, x0, y0
 
 
-def regular_basis(a: AdelicSet, max_degree: int, n_prec: int = None) -> BasisFamily:
+def regular_basis(a: AdelicSet, max_degree: int) -> BasisFamily:
     """Z-basis with one polynomial of each degree up to max_degree."""
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
-    local = _Locals(a, n_prec)
+    local = _Locals(a)
     polys: List[RatPoly] = []
     for n in range(max_degree + 1):
         ideal = _char_ideal(a, n, local)

@@ -52,7 +52,7 @@ from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, INF, PAdicInt, Rat, residue, valp
 from .polys import horner_mod
-from .sets import CompactSet, count_residues, residues
+from .sets import MAX_CLASSES, CompactSet, count_residues, residues
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,10 @@ class StepFunction:
         if (len(self.table) != count_residues(self.domain, self.modulus_exp)
                 or set(self.table) != residues(self.domain, self.modulus_exp)):
             raise ValueError("table keys must be exactly the domain residues")
+        depth = max(self.modulus_exp, self.domain.max_ball_exponent())
+        if not self.domain.is_finite() and count_residues(self.domain, depth) > MAX_CLASSES:
+            raise ValueError(f"the certificate would visit more than {MAX_CLASSES} classes "
+                             f"mod {self.prime}^{depth}")
         mod = self.prime ** self.precision
         if any(not 0 <= v < mod for v in self.table.values()):
             raise ValueError("table values must be canonical residues")
@@ -137,7 +141,7 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
     run_target = max(1, p ** phi.modulus_exp)
     # the domain is ordered once, with no precision, and each coefficient
     # pulls one more step of the same ordering
-    o = p_ordering(domain, 0, n_prec)
+    o = p_ordering(domain, 0)
     coeffs: List[int] = []
     small = p ** n_prec
     run = 0

@@ -24,10 +24,10 @@ L = 1.
 The ordering is a stream of steps (a_n, w(n)), and step n never depends on
 how many steps follow, so every prefix of an ordering is itself the ordering
 of that length.  ``POrdering`` is that stream, pulled only as far as a caller
-asks: it also keeps the running product g_n = prod_{k<n} (x - a_k) modulo p^N
-behind the lifts, and the powers p^w(k) and unit inverses behind the basis
-values, so each set is ordered once however many degrees or evaluations
-follow.
+asks: it also keeps the running product g_n = prod_{k<n} (x - a_k) behind the
+lifts, modulo a power of p that grows with w(n), and the powers p^w(k) and
+unit inverses behind the basis values, so each set is ordered once however
+many degrees or evaluations follow.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from itertools import count, islice
 from math import lcm
 from typing import Iterator, List, Sequence, Tuple, Union
 
-from .errors import LengthExceedsSet, PrecisionExhausted
-from .padic import DEFAULT_PRECISION, INF, Rat, residue, valp
+from .errors import LengthExceedsSet
+from .padic import INF, Rat, residue, valp
 from .polys import RatPoly, horner_mod
 from .sets import CompactSet
 from .utils import v_of_factorial
@@ -53,20 +53,20 @@ class POrdering:
     ``points`` and ``w`` hold the steps pulled so far; ``extend(n)`` pulls
     the stream on to a_n, and an earlier prefix never changes.  The same
     object serves every consumer: ``lift(n)`` reads the running product
-    g_n = prod_{k<n} (x - a_k) modulo p^N, and ``basis_values`` the tables
+    g_n = prod_{k<n} (x - a_k) modulo p^W, and ``basis_values`` the tables
     of ``basis_tables``, which are built only when first asked for.
     ``numerators`` holds the exact integers L a_n, with ``scale`` = L the
     lcm of a finite set's denominators (1 for a ball union).
     """
 
-    def __init__(self, s: CompactSet, n_prec: int):
-        self.prime, self.set, self.precision = s.prime, s, n_prec
+    def __init__(self, s: CompactSet):
+        self.prime, self.set = s.prime, s
         self.points: Tuple[Point, ...] = ()
         self.numerators: Tuple[int, ...] = ()
         self.w: Tuple[int, ...] = ()
         self.scale, self._steps = _ordering_steps(s)
-        self._g = [1]  # g_k modulo p^N, k = len(self._g) - 1
-        self._table_prec = n_prec
+        self._g = [1]  # g_k modulo p^W, k = len(self._g) - 1
+        self._lift_prec = self._table_prec = 0  # the W of g and the N of the tables
         self._pw: List[int] = []
         self._uinv: List[int] = []
 
@@ -87,30 +87,26 @@ class POrdering:
             self.w += w
         return self
 
-    def point_residues(self) -> List[int]:
-        mod = self.prime ** self.precision
-        return [residue(a, mod) for a in self.points]
-
     def lift(self, n: int) -> List[int]:
         """The integer numerators of ``rational_lift`` at degree n, lowest
         degree first, over p^w(n); pulls the ordering as far as n.
 
-        Raises PrecisionExhausted when N is below w(n).
+        g_n is kept modulo p^W; when w(n) passes W, W becomes max(w(n), 2W).
         """
         wn = self.extend(n).w[n]
-        if wn > self.precision:
-            raise PrecisionExhausted(f"precision {self.precision} below w({n}) = {wn}")
-        if len(self._g) > n + 1:
+        if wn > self._lift_prec:  # w(n) past W: multiply out afresh modulo more
+            self._g, self._lift_prec = [1], max(wn, 2 * self._lift_prec)
+        elif len(self._g) > n + 1:
             self._g = [1]  # a lower degree than the last: multiply out afresh
-        mod = self.prime ** self.precision
+        mod = self.prime ** self._lift_prec
         for a in self.points[len(self._g) - 1:n]:
             self._g = _times_linear(self._g, residue(a, mod), mod)
         mod = self.prime ** wn
         return [c % mod for c in self._g[:-1]] + [1]  # g is monic, and so is the lift
 
-    def basis_tables(self, n: int, n_prec: int) -> Tuple[Sequence[int], List[int], List[int]]:
+    def basis_tables(self, n: int, digits: int) -> Tuple[Sequence[int], List[int], List[int]]:
         """The integer points L a_0..L a_n, and p^w(k) and u_k^-1 modulo p^N
-        for k <= n.
+        for k <= n, N = digits.
 
         u_k is the unit part of prod_{j<k} (L a_k - L a_j), read from that
         product modulo p^(N + w(k)); the points are exact, so this holds
@@ -119,8 +115,8 @@ class POrdering:
         above every N asked for before.
         """
         self.extend(n)
-        if n_prec > self._table_prec:
-            self._table_prec, self._pw, self._uinv = n_prec, [], []
+        if digits > self._table_prec:
+            self._table_prec, self._pw, self._uinv = digits, [], []
         p, small = self.prime, self.prime ** self._table_prec
         res = self.numerators
         for k in range(len(self._uinv), n + 1):
@@ -133,15 +129,15 @@ class POrdering:
             self._uinv.append(pow(g // pw, -1, small))
         return res, self._pw, self._uinv
 
-    def basis_values(self, x: Rat, n: int, n_prec: int) -> List[int]:
-        """[f_k(x) mod p^N for k = 0..n] at a domain point x.
+    def basis_values(self, x: Rat, n: int, digits: int) -> List[int]:
+        """[f_k(x) mod p^N for k = 0..n] at a domain point x, N = digits.
 
         g_k(x) is divisible by p^w(k) there, so f_k(x) is
         prod_{j<k} (L x - L a_j) mod p^(N + w(k)), divided by p^w(k), times
         u_k^-1.
         """
-        res, pw, uinv = self.basis_tables(n, n_prec)
-        small = self.prime ** n_prec
+        res, pw, uinv = self.basis_tables(n, digits)
+        small = self.prime ** digits
         top = pw[n] * small
         x = residue(self.scale * x, top)
         out = [1]
@@ -152,18 +148,11 @@ class POrdering:
         return out
 
 
-def p_ordering(s: CompactSet, length: int, n_prec: int = None) -> POrdering:
-    """The p-ordering of s pulled to a_length (see the module docstring).
-
-    The ordering needs no precision: n_prec is the N of ``lift`` and
-    ``point_residues``.  A finite set with too few elements raises
-    LengthExceedsSet.
-    """
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
+def p_ordering(s: CompactSet, length: int) -> POrdering:
+    """The p-ordering of s pulled to a_length; LengthExceedsSet past a finite set."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return POrdering(s, n_prec).extend(length)
+    return POrdering(s).extend(length)
 
 
 def _ordering_steps(s: CompactSet) -> Tuple[int, Iterator[Step]]:

@@ -141,6 +141,7 @@ def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
 
 #: Largest power of x that ``parse_poly`` accepts: it builds one coefficient
 #: per degree, and membership tests go through the binomial coefficients.
+#: The CLI caps ``--degree`` at it and ``--length`` at one point more.
 MAX_POLY_DEGREE = 256
 
 _COEFF = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")

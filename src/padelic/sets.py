@@ -27,6 +27,9 @@ PZP = "pZp"
 #: interpreter stack.
 MAX_PARTS = 256
 
+#: Most classes c + p^d Z_p a step function's certificate may visit (see ``mahler``).
+MAX_CLASSES = 1 << 16
+
 
 @dataclass(frozen=True)
 class CompactSet:

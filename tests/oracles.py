@@ -111,7 +111,7 @@ def verify_by_differences(f: RatPoly, r: ApproxRequest):
     return None
 
 
-def membership_at_points(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
+def membership_at_points(f: RatPoly, s: CompactSet) -> bool:
     """Reference local membership: f(a) in Z_p by exact Fraction evaluation at
     the ordering points a_0..a_deg (at every element of a small finite set)."""
     if f.is_zero():
@@ -120,7 +120,7 @@ def membership_at_points(f: RatPoly, s: CompactSet, n_prec: int = None) -> bool:
     if s.is_finite() and d >= len(s.finite):
         pts = list(s.finite)
     else:
-        pts = list(p_ordering(s, d, n_prec).points)
+        pts = list(p_ordering(s, d).points)
     return all(valp(f(a), s.prime) >= 0 for a in pts)
 
 
@@ -191,11 +191,12 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
-def rational_lift_by_fractions(o: POrdering, n: int) -> RatPoly:
-    """h_n / p^w(n) from the exact rational product g_n."""
+def rational_lift_by_fractions(o: POrdering, n: int, n_prec: int) -> RatPoly:
+    """h_n / p^w(n) from the exact rational product g_n, for a caller that
+    keeps n_prec digits: raises PrecisionExhausted when w(n) needs more."""
     p, wn = o.prime, o.w[n]
-    if o.precision < wn:
-        raise PrecisionExhausted(f"precision {o.precision} below w({n}) = {wn}")
+    if n_prec < wn:
+        raise PrecisionExhausted(f"precision {n_prec} below w({n}) = {wn}")
     if n == 0:
         return RatPoly.constant(1)
     g = product_poly(o, n)
@@ -259,13 +260,13 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
                 if comp.is_finite() and len(comp.finite) <= n:
                     raise SetTooSmall(f"component at {p} has {len(comp.finite)} elements, "
                                       f"degree {n} needs more")
-                w = p_ordering(comp, n, n_prec).w[n]
+                w = p_ordering(comp, n).w[n]
             denominator *= p ** w
         p_set = sorted(p for p in primes if count_mod_p(a.component(p)) <= n)
         if not p_set:
             polys.append(RatPoly.x_power(n))
             continue
-        parts = [(p, 1, rational_lift_by_fractions(p_ordering(a.component(p), n, n_prec), n))
+        parts = [(p, 1, rational_lift_by_fractions(p_ordering(a.component(p), n), n, n_prec))
                  for p in p_set]
         f_n = crt_combine_by_fractions(parts)
         c = f_n.lc()

@@ -86,8 +86,8 @@ def test_evaluator_values_match_exact_basis():
     dom = CompactSet.from_balls(3, [(1, 1), (5, 2)])
     full = expand(StepFunction(3, dom, 2, {r: r for r in residues(dom, 2)}, 5), 5)
     top = full.length() - 1
-    # an ordering kept at 2 digits builds its tables again when asked for 5
-    low = p_ordering(dom, top, 2)
+    # tables built at 2 digits are built again when asked for 5
+    low = p_ordering(dom, top)
     low.basis_values(1, top, 2)
     for x in (1, 5, 14, 22, 40, Fraction(1, 4)):
         exact = [residue(basis_rational(full.ordering, k)(Fraction(x)), 3 ** 5)
@@ -96,7 +96,7 @@ def test_evaluator_values_match_exact_basis():
         assert low.basis_values(x, top, 5) == exact
     # a finite set's rational and negative points keep N + w(n) digits
     fin = p_ordering(CompactSet.from_finite(
-        3, [Fraction(1, 2), 5, -4, 0, 9, Fraction(7, 4), 2, 1]), 7, 6)
+        3, [Fraction(1, 2), 5, -4, 0, 9, Fraction(7, 4), 2, 1]), 7)
     for x in fin.set.finite:
         assert fin.basis_values(x, 7, 6) == [residue(basis_rational(fin, k)(x), 3 ** 6)
                                              for k in range(8)]

@@ -156,13 +156,39 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
-def test_diagnostic_exit_code(capsys):
-    # the lift of degree 5 needs w(5) = 4 digits, more than allowed
-    code, out = run_cli(
-        ["basis", "--adelic", "default=Zp; p=2; balls: 0+p^1, 3+p^3", "--degree", "12",
-         "--precision", "3"], capsys)
+def test_diagnostic_exit_code(tmp_path, capsys):
+    # the table carries N = 5 digits, and 6 are asked for
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({
+        "p": 2, "set": {"p": 2, "balls": [{"center": 0, "k": 0}]},
+        "m": 2, "table": {"0": 0, "1": 1, "2": 4, "3": 9}, "N": 5}))
+    code, out = run_cli(["expand", "--request", str(req), "--precision", "6"], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "PrecisionExhausted"
+
+
+def test_basis_needs_no_precision(capsys):
+    # w_2(36) = 34 is past the default 32 digits; the basis is exact anyway
+    from oracles import regular_basis_per_degree
+    from padelic.polys import format_poly
+    from padelic.sets import parse_adelic
+    code, out = run_cli(["basis", "--adelic", "default=Zp", "--degree", "36"], capsys)
+    assert code == 0
+    expected = regular_basis_per_degree(parse_adelic("default=Zp"), 36, 64).polys
+    assert json.loads(out)["polys"] == [format_poly(f) for f in expected]
+
+
+@pytest.mark.parametrize("verb, option, value", [
+    ("basis", "--degree", "257"), ("charideal", "--degree", "100000000"),
+    ("ordering", "--length", "258"), ("adelic-ordering", "--length", "100000000"),
+])
+def test_degree_and_length_are_capped(capsys, verb, option, value):
+    # refused before any work: --degree up to x^256, --length up to 257 points
+    argv = [verb, option, value, "--set", "p=2; balls: 0+p^0", "--adelic", "default=Zp"]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": "--degree is capped at 256, --length at 257"}
 
 
 def test_pzp_adelic_ordering_rejected(capsys):
@@ -404,6 +430,19 @@ def test_expand_table_at_large_prime_is_refused_quickly(tmp_path, capsys):
     assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
+def test_certificate_classes_are_capped(tmp_path, capsys):
+    # balls of radii 1 and 40 split Z_2 into 2^39 + 1 classes mod 2^40
+    import time
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"p": 2, "m": 0, "N": 4, "table": {"0": 1},
+                               "set": {"p": 2, "balls": [{"center": 0, "k": 1},
+                                                         {"center": 1, "k": 40}]}}))
+    start = time.perf_counter()
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("count, expected", [(256, 0), (257, 2)])
 def test_ball_count_is_capped(capsys, count, expected):
     # each ball 2^i + 2^(i+2) Z_2 sits one split deeper in the ordering's recursion
@@ -491,7 +530,9 @@ _JSON = st.recursive(
         st.sampled_from(["p", "k", "m", "N", "0", "1", "2", "x"]), kids, max_size=3),
     max_leaves=8)
 _RADIUS = st.one_of(st.integers(0, 3), st.just(-1))
-_COUNT = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2]).map(str)
+_COUNT = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2, 257, 258, 10 ** 8]).map(str)
+# --precision has no cap, and p^(10^8) is too large to compute
+_DIGITS = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2]).map(str)
 _SET_JSON = st.one_of(
     st.fixed_dictionaries({"p": _PRIME, "balls": st.lists(st.fixed_dictionaries(
         {"center": _SMALL, "k": _RADIUS}), max_size=3)}),
@@ -548,7 +589,7 @@ _POLY = st.one_of(
         lambda ts: " + ".join(f"{a}/{b}*x^{n}" for a, b, n in ts)),
     _DSL)
 _OPTIONS = {"--set": _SET_DSL, "--adelic": _ADELIC_DSL, "--poly": _POLY,
-            "--degree": _COUNT, "--length": _COUNT, "--precision": _COUNT,
+            "--degree": _COUNT, "--length": _COUNT, "--precision": _DIGITS,
             "--request": st.just("request.json")}
 
 

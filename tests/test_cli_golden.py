@@ -102,14 +102,15 @@ def test_golden(name):
 
 
 def test_step_undecided_case_reports_greedy_w5():
-    # the exit-3 detail names w(5) = 4 of the closed form, which must be the
-    # greedy search's value at 32 digits
+    # the degree-5 leading denominator has the 2-part 2^w(5) of the closed
+    # form, and w(5) = 4 must be the greedy search's value at 32 digits
+    from padelic.padic import valp
     from padelic.sets import parse_adelic
     from oracles import greedy_ball_ordering
     set_dsl = CASES["basis_deep_p2_step_undecided"][2]
     _, w = greedy_ball_ordering(parse_adelic(set_dsl).tracked[2], 5, 32)
-    assert (GOLDEN / "basis_deep_p2_step_undecided.out").read_text().count(
-        f"precision 3 below w(5) = {w[5]}") == 1 and w[5] == 4
+    out = json.loads((GOLDEN / "basis_deep_p2_step_undecided.out").read_text())
+    assert valp(out["lc_denominators"][5], 2) == w[5] == 4
 
 
 def _write(names) -> None:

@@ -216,12 +216,13 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-@given(tracked_components(), st.integers(0, 14), st.sampled_from([3, 8, 32]))
+@given(tracked_components(), st.integers(0, 14))
 @settings(max_examples=60, deadline=None)
-def test_regular_basis_matches_per_degree_oracle(a, degree, n_prec):
-    # the same polynomials, or the same error from the same degree and prime
-    assert _outcome(lambda: regular_basis(a, degree, n_prec)) == _outcome(
-        lambda: regular_basis_per_degree(a, degree, n_prec))
+def test_regular_basis_matches_per_degree_oracle(a, degree):
+    # the same polynomials, or the same error from the same degree and prime;
+    # the oracle keeps 64 digits, more than any w here needs
+    assert _outcome(lambda: regular_basis(a, degree)) == _outcome(
+        lambda: regular_basis_per_degree(a, degree, 64))
 
 
 def test_regular_basis_runs_one_search_per_prime(monkeypatch):

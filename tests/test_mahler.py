@@ -14,7 +14,8 @@ from padelic.mahler import (StepFunction, evaluate, expand,
 from padelic.adelic import adelic_ordering
 from padelic.ordering import basis_rational
 from padelic.padic import INF, PAdicInt, residue
-from padelic.sets import FULL, AdelicSet, CompactSet, residues
+from padelic.sets import (FULL, MAX_CLASSES, AdelicSet, CompactSet, count_residues,
+                          residues)
 
 
 def step(p, domain, m, table, n_prec=6):
@@ -65,6 +66,16 @@ def test_evaluate_truncated_argument_propagates_precision():
 def test_step_function_prime_must_match_domain():
     with pytest.raises(ValueError, match="domain"):
         StepFunction(3, CompactSet.zp(2), 1, {0: 0, 1: 1}, 4)
+
+
+def test_certificate_class_count_is_capped():
+    # the cap counts classes mod 2^d, d the deepest radius, without listing them
+    assert count_residues(CompactSet.zp(2), 16) == MAX_CLASSES
+    over = CompactSet.from_balls(2, [(0, 1), (1, 17)])
+    assert count_residues(over, 17) == MAX_CLASSES + 1
+    with pytest.raises(ValueError, match="classes"):
+        StepFunction(2, over, 0, {0: 1}, 4)
+    StepFunction(2, CompactSet.from_balls(2, [(0, 1), (1, 16)]), 0, {0: 1}, 4)
 
 
 def test_evaluate_rational_argument_in_ball_domain():

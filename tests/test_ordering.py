@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padelic.ordering
-from padelic.errors import LengthExceedsSet, PrecisionExhausted
+from padelic.errors import LengthExceedsSet
 from padelic.ordering import (POrdering, basis_rational, local_membership, p_ordering,
                               product_poly, rational_lift)
 from padelic.padic import residue, valp
@@ -100,7 +100,7 @@ def test_length_exceeds_set():
 
 def test_close_points_need_no_precision():
     s = CompactSet.from_finite(2, [0, 2 ** 12])
-    assert p_ordering(s, 1, n_prec=4).w == (0, 12)
+    assert p_ordering(s, 1).w == (0, 12)
 
 
 @given(st.sampled_from([2, 3, 5]),
@@ -117,7 +117,7 @@ def test_finite_ordering_matches_greedy_search(p, draws):
             elems.add(Fraction(num, den) + p ** e)
     s = CompactSet.from_finite(p, sorted(elems))
     top = len(s.finite) - 1
-    o = p_ordering(s, top, 1)
+    o = p_ordering(s, top)
     # the greedy search decides every step below each element's valuation sum
     n_prec = 1 + max(sum(valp(x - y, p) for y in s.finite if y != x) for x in s.finite)
     assert list(o.w) == greedy_finite_ordering(s, n_prec)[1]
@@ -129,15 +129,13 @@ def test_finite_ordering_matches_greedy_search(p, draws):
     assert list(o.w) == [min(sums[n].values()) for n in range(top + 1)]
     assert all(a == min(y for y, v in sums[n].items() if v == o.w[n])
                for n, a in enumerate(o.points))
-    for n_prec in (8, 64):
-        assert p_ordering(s, top, n_prec).points == o.points
 
 
 def test_finite_basis_values_beyond_the_ordering_precision():
-    # w(3) = 12 exceeds both N = 4 and the ordering's 2 digits, so the basis
-    # tables need the points exactly, not modulo p^(N + 2)
+    # w(3) = 12 exceeds N = 4, so the basis tables need the points exactly,
+    # not modulo p^(N + 2)
     s = CompactSet.from_finite(2, [0, 4096, 1, Fraction(1, 3)])
-    o = p_ordering(s, 3, 2)
+    o = p_ordering(s, 3)
     assert o.w == (0, 0, 1, 12)
     for x in s.finite:
         assert o.basis_values(x, 3, 4) == [
@@ -242,41 +240,37 @@ def test_local_membership_matches_fraction_values(p, shape, seed):
 
 
 @given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
-       st.sampled_from([3, 8, 32]), st.integers(0, 10 ** 6))
+       st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_lifts_asked_in_any_order_match_fractions(p, shape, n_prec, seed):
+def test_lifts_asked_in_any_order_match_fractions(p, shape, seed):
+    # a random order of degrees lowers the degree and raises w past the
+    # modulus of the running product, so both ways of multiplying out afresh run
     rng = random.Random(seed)
     s = _membership_domain(p, shape, rng)
     top = min(12, len(s.finite) - 1) if s.is_finite() else 12
-    reference = p_ordering(s, top, n_prec)
-    o, pulled = p_ordering(s, top, n_prec), POrdering(s, n_prec)
-
-    def outcome(lift, n):
-        try:
-            return lift(n)
-        except PrecisionExhausted as exc:
-            return str(exc)
+    reference = p_ordering(s, top)
+    o, pulled = p_ordering(s, top), POrdering(s)
 
     def pulled_lift(n):
         h = pulled.lift(n)  # integer numerators over p^w(n)
         return RatPoly.over(p ** pulled.w[n], h)
 
     for n in [rng.randrange(top + 1) for _ in range(15)]:
-        expected = outcome(lambda n: rational_lift_by_fractions(reference, n), n)
-        assert outcome(lambda n: rational_lift(o, n), n) == expected
-        assert outcome(pulled_lift, n) == expected
+        expected = rational_lift_by_fractions(reference, n, 64)  # 64 digits: more than w(12)
+        assert rational_lift(o, n) == expected
+        assert pulled_lift(n) == expected
     with pytest.raises(ValueError):
         rational_lift(o, top + 1)
 
 
 def test_local_membership_unit_denominator_builds_no_ordering(monkeypatch):
-    # 3 digits are fewer than the greedy search needs to decide step 1 here;
-    # the closed form needs none and must agree with the search at 32
+    # the closed form needs no digits, where the greedy search needs more
+    # than 3 to decide step 1 here; the two must agree at 32
     s = CompactSet.from_balls(2, [(0, 1), (3, 3)])
-    o = p_ordering(s, 12, 3)
+    o = p_ordering(s, 12)
     assert (list(o.points), list(o.w)) == greedy_ball_ordering(s, 12, 32)
     f = RatPoly.make([0] * 12 + [Fraction(1, 6)])
-    assert local_membership(f, s) is membership_at_points(f, s, 32) is False
+    assert local_membership(f, s) is membership_at_points(f, s) is False
     # a denominator prime to 2 decides membership without any ordering
     def no_ordering(*args):
         raise AssertionError("p_ordering called")
@@ -297,7 +291,9 @@ def test_ball_ordering_matches_greedy_search(p, balls, length):
 
 
 def test_ball_ordering_needs_no_precision():
+    # no precision is asked for, and the steps are those the greedy search
+    # decides at 64 digits, far past w(30)
     s = CompactSet.from_balls(3, [(1, 1), (2, 5)])
-    low, high = p_ordering(s, 30, 1), p_ordering(s, 30, 64)
-    assert (low.points, low.w) == (high.points, high.w)
-    assert max(low.w) > 1
+    o = p_ordering(s, 30)
+    assert (list(o.points), list(o.w)) == greedy_ball_ordering(s, 30, 64)
+    assert max(o.w) > 1
