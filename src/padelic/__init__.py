@@ -1,20 +1,19 @@
 """Exact arithmetic for integer-valued polynomials on p-adic and adelic sets."""
-from .adelic import (AdelicOrdering, AdelicPoint, AdelicPoly, adelic_basis,
-                     adelic_membership, adelic_ordering, conjugate_poly,
-                     poly_as_adelic, scale_into_z)
+from .adelic import (AdelicOrdering, AdelicPoint, AdelicPoly, adelic_membership,
+                     adelic_ordering, poly_as_adelic, scale_into_z)
 from .approx import ApproxCertificate, ApproxRequest, approximate
 from .errors import (CertificateFailed, EmptySet, FactorLimitExceeded, LengthExceedsSet,
                      NoAdelicOrdering, NotCertified, NotFinitelyGenerated,
                      PadelicError, PrecisionExhausted, SetTooSmall)
 from .globalbasis import (BasisFamily, CharIdeal, char_ideal, crt_combine,
                           global_membership, regular_basis)
-from .mahler import (AdelicMahlerSeries, MahlerSeries, StepFunction, evaluate,
-                     expand, expand_adelic, expand_in_basis, sup_norm_data)
+from .mahler import (MahlerSeries, StepFunction, evaluate, expand, expand_in_basis,
+                     sup_norm_data)
 from .ordering import (POrdering, basis_rational, local_membership, p_ordering,
                        product_poly, rational_lift)
 from .padic import DEFAULT_PRECISION, INF, PAdicInt, residue, valp
 from .polys import RatPoly, format_poly, parse_poly
-from .sets import (FULL, PZP, UNKNOWN, AdelicSet, CompactSet, contains,
-                   count_mod_p, normalize, parse_adelic, parse_set, residues)
+from .sets import (FULL, PZP, AdelicSet, CompactSet, normalize, parse_adelic,
+                   parse_set, residues)
 
 __version__ = "0.1.0"

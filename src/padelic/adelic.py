@@ -14,10 +14,10 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import NoAdelicOrdering
 from .globalbasis import _prime_factors
-from .ordering import POrdering, basis_rational, p_ordering
+from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
 from .polys import RatPoly
-from .sets import FULL, PZP, AdelicSet, CompactSet
+from .sets import FULL, MAX_EXPONENT, PZP, AdelicSet, CompactSet
 from .utils import is_prime, primes_up_to, strip_primes
 
 
@@ -97,24 +97,6 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
                           exceptions=tuple(exceptions))
 
 
-def adelic_basis(o: AdelicOrdering, n: int) -> AdelicPoly:
-    """Degree-n element of the regular basis attached to the ordering.
-
-    The default component is the binomial polynomial; exception primes of
-    index n (where it is not p-integral) get explicit tracked components.
-    """
-    if n > o.length() - 1:
-        raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
-    default = RatPoly.binomial(n)
-    tracked: Dict[int, RatPoly] = {}
-    for p, ordering in o.local.items():
-        tracked[p] = basis_rational(ordering, n)
-    for p in primes_up_to(n):
-        if p not in tracked:
-            tracked[p] = default  # diagonal component, written explicitly at p
-    return AdelicPoly(degree=n, tracked=tracked, default=default)
-
-
 def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
     """Value criterion: g is integer-valued iff g(alpha_k) is integral, k <= deg."""
     if g.degree > o.length() - 1:
@@ -154,6 +136,8 @@ def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]
         low = min(min(valp(Fraction(c), p), k) if Fraction(c) != 0 else k
                   for c, k in balls)
         exps[p] = max(0, -low)
+        if exps[p] + max(max(k for _, k in balls), 0) > MAX_EXPONENT:
+            raise ValueError(f"exponents of {p} after scaling pass the cap {MAX_EXPONENT}")
     d = 1
     for p, e in sorted(exps.items()):
         d *= p ** e
@@ -166,9 +150,3 @@ def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]
         tracked[p] = CompactSet.from_balls(p, scaled)
     return d, AdelicSet(tracked=tracked, default=FULL)
 
-
-def conjugate_poly(f: RatPoly, d: int, d1: int) -> RatPoly:
-    """The polynomial (1/d1) * f(d*x), exactly."""
-    if d < 1 or d1 < 1:
-        raise ValueError("scaling factors must be positive")
-    return f.compose_linear(d).scale(Fraction(1, d1))

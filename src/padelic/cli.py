@@ -19,7 +19,7 @@ from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
 from .polys import MAX_POLY_DEGREE, RatPoly, format_poly, parse_poly
-from .sets import (AdelicSet, CompactSet, _json_int, _json_list, _json_object,
+from .sets import (MAX_EXPONENT, AdelicSet, CompactSet, _json_int, _json_list, _json_object,
                    adelic_from_json, adelic_to_json, parse_adelic, parse_set,
                    rational_from_json, set_from_json)
 
@@ -213,8 +213,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 2 if exc.code else 0
     try:
-        if args.precision is not None and args.precision < 1:
-            raise ValueError("--precision counts p-adic digits and must be >= 1")
+        if args.precision is not None and not 1 <= args.precision <= MAX_EXPONENT:
+            raise ValueError(f"--precision counts p-adic digits, 1 to {MAX_EXPONENT}")
         if args.degree > MAX_POLY_DEGREE or args.length > MAX_POLY_DEGREE + 1:
             raise ValueError(
                 f"--degree is capped at {MAX_POLY_DEGREE}, --length at {MAX_POLY_DEGREE + 1}")

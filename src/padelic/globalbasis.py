@@ -23,13 +23,13 @@ pair of the reduced Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
 from .padic import valp
-from .polys import RatPoly
+from .polys import RatPoly, horner
 from .sets import FULL, PZP, AdelicSet, CompactSet
 from .utils import primes_up_to, strip_primes, v_of_factorial
 
@@ -178,12 +178,14 @@ def global_membership(f: RatPoly, a: AdelicSet) -> bool:
     """Whether f is integer-valued on the whole adelic set.
 
     Tracked primes use the p-ordering value criterion.  Untracked primes only
-    matter when they divide a coefficient denominator.  A Z_p default fails
-    exactly at the primes dividing a denominator of a binomial-basis
-    coefficient (those divide the coefficient denominator too), so the tracked
-    primes are divided out of their lcm and any factor left is a failure;
-    nothing is factored.  A pZ_p default is checked directly at each untracked
-    prime of the denominator.
+    matter when they divide a coefficient denominator.  With f = F/D, F
+    integral, the binomial-basis coefficients of f are Delta^n F(0) / D,
+    n <= deg f, so a Z_p default fails exactly at the primes dividing
+    D / gcd(D, Delta^n F(0) for every n).  The forward differences and the
+    values F(0..deg) are related by a unimodular integer matrix, so that gcd
+    is gcd(D, F(0), ..., F(deg)).  The tracked primes are divided out of the
+    quotient and any factor left is a failure; nothing is factored.  A pZ_p
+    default is checked directly at each untracked prime of the denominator.
     """
     if f.is_zero():
         return True
@@ -191,10 +193,11 @@ def global_membership(f: RatPoly, a: AdelicSet) -> bool:
         if not local_membership(f, comp):
             return False
     if a.default == FULL:
-        if strip_primes(f.denominator(), a.tracked) == 1:
+        den, num = f.integer_form()
+        if strip_primes(den, a.tracked) == 1:
             return True
-        den = lcm(*(b.denominator for b in f.binomial_coeffs()))
-        return strip_primes(den, a.tracked) == 1
+        values = (horner(num, x) for x in range(len(num)))  # F(0..deg)
+        return strip_primes(den // gcd(den, *values), a.tracked) == 1
     for p in _prime_factors(f.denominator()) - set(a.tracked):
         if not local_membership(f, CompactSet.pzp(p)):
             return False

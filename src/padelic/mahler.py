@@ -44,15 +44,15 @@ expansion already built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificateFailed, NotCertified, PrecisionExhausted
 from .ordering import POrdering, p_ordering
-from .padic import DEFAULT_PRECISION, INF, PAdicInt, Rat, residue, valp
+from .padic import INF, PAdicInt, Rat, residue, valp
 from .polys import horner_mod
-from .sets import MAX_CLASSES, CompactSet, count_residues, residues
+from .sets import MAX_CLASSES, MAX_EXPONENT, CompactSet, count_residues, residues
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ class StepFunction:
             raise ValueError(f"{self.prime}-adic function on a {self.domain.prime}-adic domain")
         if self.precision < 1:
             raise ValueError("precision counts p-adic digits and must be >= 1")
+        if max(self.modulus_exp, self.precision) > MAX_EXPONENT:
+            raise ValueError(f"m and N are capped at {MAX_EXPONENT}")
         # count before enumerating: a large p has too many residues to list
         if (len(self.table) != count_residues(self.domain, self.modulus_exp)
                 or set(self.table) != residues(self.domain, self.modulus_exp)):
@@ -82,22 +84,6 @@ class StepFunction:
         if any(not 0 <= v < mod for v in self.table.values()):
             raise ValueError("table values must be canonical residues")
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[Rat], Rat], domain: CompactSet,
-                      modulus_exp: int, n_prec: int = None) -> "StepFunction":
-        """Sampling adaptor: tabulate fn on residues (approximation by uniform
-        continuity; the table is the function actually expanded)."""
-        if n_prec is None:
-            n_prec = DEFAULT_PRECISION
-        p = domain.prime
-        table = {}
-        for r in residues(domain, modulus_exp):
-            val = Fraction(fn(r))
-            if valp(val, p) < 0:
-                raise ValueError(f"value {val} at {r} is not a {p}-adic integer")
-            table[r] = residue(val, p ** n_prec)
-        return cls(p, domain, modulus_exp, table, n_prec)
-
     def value_at(self, x: Rat) -> int:
         return self.table[residue(x, self.prime ** self.modulus_exp)]
 
@@ -109,8 +95,11 @@ class MahlerSeries:
     ordering: POrdering
     coeffs: Tuple[int, ...]
     precision: int
-    certified: bool
-    certificate_depth: Optional[int] = None  # residue depth the certificate covers
+    certificate_depth: Optional[int] = None  # depth the certificate covers; None if uncertified
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate_depth is not None
 
     def length(self) -> int:
         return len(self.coeffs)
@@ -155,13 +144,9 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
         run = run + 1 if c == 0 else 0
         done_finite = finite and n == cap
         if done_finite or (run >= run_target and run % run_target == 0):
-            series = MahlerSeries(
-                ordering=o, coeffs=tuple(coeffs), precision=n_prec, certified=False)
+            series = MahlerSeries(ordering=o, coeffs=tuple(coeffs), precision=n_prec)
             if _certify(series, phi):
-                depth = n_prec + (o.w[n] if n else 0)
-                return MahlerSeries(ordering=o, coeffs=tuple(coeffs),
-                                    precision=n_prec, certified=True,
-                                    certificate_depth=depth)
+                return replace(series, certificate_depth=n_prec + (o.w[n] if n else 0))
             if done_finite:
                 raise CertificateFailed(
                     "finite-domain expansion does not reproduce the table")
@@ -260,38 +245,7 @@ def sup_norm_data(s: MahlerSeries, phi: StepFunction):
 
 
 # ---------------------------------------------------------------------------
-# adelic assembly and general-basis expansion
-
-
-@dataclass(frozen=True)
-class AdelicMahlerSeries:
-    """Componentwise expansions against the per-prime parts of an adelic ordering."""
-
-    per_prime: Dict[int, MahlerSeries]
-
-    def length(self) -> int:
-        return max((s.length() for s in self.per_prime.values()), default=0)
-
-    def coefficient(self, n: int) -> Dict[int, int]:
-        """The tracked components of the adelic coefficient c_n (default 0)."""
-        return {p: (s.coeffs[n] if n < s.length() else 0)
-                for p, s in self.per_prime.items()}
-
-    def certified(self) -> bool:
-        return all(s.certified for s in self.per_prime.values())
-
-
-def expand_adelic(phis: Dict[int, StepFunction],
-                  n_prec: Union[int, Dict[int, int], None] = None) -> AdelicMahlerSeries:
-    """Expand one step function per tracked prime, each in the ordering basis
-    of its domain.
-
-    Untracked components default to the zero function and contribute zero
-    coefficients, so they are not materialized.
-    """
-    return AdelicMahlerSeries(per_prime={
-        p: expand(phi, n_prec.get(p) if isinstance(n_prec, dict) else n_prec)
-        for p, phi in phis.items()})
+# general-basis expansion
 
 
 def expand_in_basis(phi: StepFunction, basis, n_prec: int = None) -> List[int]:

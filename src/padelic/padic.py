@@ -57,16 +57,3 @@ class PAdicInt:
     def __post_init__(self):
         if not 0 <= self.residue < self.prime ** self.precision:
             raise ValueError("residue out of canonical range")
-
-    @classmethod
-    def from_rational(cls, x: Rat, p: int, n: int = None) -> "PAdicInt":
-        if n is None:
-            n = DEFAULT_PRECISION
-        x = Fraction(x)
-        if valp(x, p) < 0:
-            raise ValueError(f"{x} is not a {p}-adic integer")
-        return cls(p, residue(x, p ** n), n)
-
-    def valuation(self):
-        """Valuation as far as the residue shows; INF when zero to precision."""
-        return valp(self.residue, self.prime) if self.residue else INF

@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from typing import List, Sequence, Tuple
 
 from .padic import Rat
@@ -66,19 +66,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly.make([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)])
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if self.is_zero() or other.is_zero():
             return RatPoly.zero()
@@ -90,16 +77,6 @@ class RatPoly:
 
     def scale(self, c: Rat) -> "RatPoly":
         return RatPoly.make([Fraction(c) * a for a in self.coeffs])
-
-    def compose_linear(self, a: Rat, b: Rat = 0) -> "RatPoly":
-        """The polynomial f(a*x + b)."""
-        out = RatPoly.zero()
-        lin = RatPoly.make([b, a])
-        power = RatPoly.constant(1)
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * lin
-        return out
 
     def denominator(self) -> int:
         """Least common denominator of the coefficients."""
@@ -114,18 +91,16 @@ class RatPoly:
         d = self.denominator()
         return d, [c.numerator * (d // c.denominator) for c in reversed(self.coeffs)]
 
-    def binomial_coeffs(self, length: int = None) -> List[Fraction]:
-        """Coefficients b_n in f = sum b_n * binom(x, n), via finite differences."""
-        if length is None:
-            length = self.degree() + 1
-        values = [self(i) for i in range(max(length, 0))]
-        out = []
-        for n in range(length):
-            out.append(sum((-1) ** (n - k) * comb(n, k) * values[k] for k in range(n + 1)))
-        return out
-
     def __str__(self):
         return format_poly(self)
+
+
+def horner(coeffs: Sequence[int], x: int) -> int:
+    """The integer polynomial with coefficients highest degree first, at x."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
@@ -140,7 +115,7 @@ def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
 # tiny infix grammar: terms "a/b*x^n" joined by + and -
 
 #: Largest power of x that ``parse_poly`` accepts: it builds one coefficient
-#: per degree, and membership tests go through the binomial coefficients.
+#: per degree, and membership tests take forward differences of its values.
 #: The CLI caps ``--degree`` at it and ``--length`` at one point more.
 MAX_POLY_DEGREE = 256
 

@@ -12,11 +12,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptySet
-from .padic import PAdicInt, Rat, residue, valp
+from .padic import Rat, residue, valp
 from .utils import is_prime
-
-#: Three-valued answer for membership queries at finite precision.
-UNKNOWN = "unknown"
 
 #: Symbolic default families for untracked primes.
 FULL = "Zp"
@@ -29,6 +26,12 @@ MAX_PARTS = 256
 
 #: Most classes c + p^d Z_p a step function's certificate may visit (see ``mahler``).
 MAX_CLASSES = 1 << 16
+
+#: Largest exponent of p an input may name: a ball radius, a step function's
+#: modulus exponent m and digits N, a ``--precision``.  Each is checked before
+#: p is raised to it; the library needs a few dozen digits, while an exponent
+#: of 10^8 in any of these kept one request busy past a 5 s timeout.
+MAX_EXPONENT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ def normalize(s: CompactSet) -> CompactSet:
     if not s.balls:
         raise EmptySet("ball union with no balls")
     for c, k in s.balls:
-        if not (_is_int(c) and _is_int(k)) or k < 0:
-            raise ValueError(f"ball {c!r}+p^{k!r} needs an integer centre and radius >= 0")
+        if not (_is_int(c) and _is_int(k)) or not 0 <= k <= MAX_EXPONENT:
+            raise ValueError(f"ball {c!r}+p^{k!r} needs an integer centre "
+                             f"and radius in 0..{MAX_EXPONENT}")
     balls = {(c % p ** k, k) for c, k in s.balls}
     changed = True
     while changed:
@@ -152,36 +156,6 @@ def count_residues(s: CompactSet, m: int) -> int:
     p = s.prime
     deep = {c % p ** m for c, k in s.balls if k >= m}
     return len(deep) + sum(p ** (m - k) for _, k in s.balls if k < m)
-
-
-def count_mod_p(s: CompactSet) -> int:
-    """Number of residues the set meets modulo p."""
-    return count_residues(s, 1)
-
-
-def contains(s: CompactSet, x: PAdicInt):
-    """Membership of a coset residue + p^depth Z_p: True/False/UNKNOWN."""
-    if s.prime != x.prime:
-        raise ValueError("mixed primes")
-    p = s.prime
-    depth, r = x.precision, x.residue
-    if s.is_finite():
-        # a truncated number is never provably equal to a single point, so the
-        # best decidable answers are False (no element consistent) and UNKNOWN
-        if any(residue(e, p ** depth) == r for e in s.finite):
-            return UNKNOWN
-        return False
-    decided = False
-    maybe = False
-    for c, k in s.balls:
-        if k <= depth:
-            if r % p ** k == c:
-                decided = True
-        elif r == c % p ** depth:
-            maybe = True  # consistent with this ball, too few digits to decide
-    if decided:
-        return True
-    return UNKNOWN if maybe else False
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
-from typing import List, Sequence, Tuple
+from math import comb, isqrt, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 from padelic.adelic import AdelicOrdering, AdelicPoly
 from padelic.approx import ApproxRequest
@@ -21,8 +21,8 @@ from padelic.ordering import (POrdering, basis_rational, local_membership, p_ord
                               product_poly)
 from padelic.padic import DEFAULT_PRECISION, INF, residue, valp
 from padelic.polys import RatPoly, horner_mod
-from padelic.sets import FULL, PZP, AdelicSet, CompactSet, count_mod_p, residues
-from padelic.utils import primes_up_to, v_of_factorial
+from padelic.sets import FULL, PZP, AdelicSet, CompactSet, count_residues, residues
+from padelic.utils import primes_up_to, strip_primes, v_of_factorial
 
 
 def certify_by_differences(s: MahlerSeries, phi: StepFunction) -> bool:
@@ -77,13 +77,29 @@ def first_miss_all_points(num, den: int, phi: StepFunction, k: int):
     return None
 
 
+def poly_sum(polys: Iterable[RatPoly]) -> RatPoly:
+    """The sum of rational polynomials, coefficient by coefficient."""
+    out: List[Fraction] = []
+    for f in polys:
+        out += [Fraction(0)] * (len(f.coeffs) - len(out))
+        for i, c in enumerate(f.coeffs):
+            out[i] += c
+    return RatPoly.make(out)
+
+
+def binomial_coeffs(f: RatPoly, length: int = None) -> List[Fraction]:
+    """Coefficients b_n in f = sum b_n * binom(x, n), via finite differences."""
+    if length is None:
+        length = f.degree() + 1
+    values = [f(i) for i in range(max(length, 0))]
+    return [sum((-1) ** (n - k) * comb(n, k) * values[k] for k in range(n + 1))
+            for n in range(length)]
+
+
 def partial_sum_by_basis_rational(s: MahlerSeries) -> RatPoly:
     """sum c_n f_n, adding each exact basis polynomial f_n in turn."""
-    partial = RatPoly.zero()
-    for n, c in enumerate(s.coeffs):
-        if c:
-            partial = partial + basis_rational(s.ordering, n).scale(c)
-    return partial
+    return poly_sum(basis_rational(s.ordering, n).scale(c)
+                    for n, c in enumerate(s.coeffs) if c)
 
 
 def verify_by_differences(f: RatPoly, r: ApproxRequest):
@@ -161,11 +177,21 @@ def adelic_membership_by_factoring(g: AdelicPoly, o: AdelicOrdering) -> bool:
     return True
 
 
+def membership_by_binomial_lcm(f: RatPoly, a: AdelicSet) -> bool:
+    """Reference for a Z_p default: the tracked components by the value
+    criterion, then the lcm of the denominators of the Fraction binomial-basis
+    coefficients, with the tracked primes divided out, must be 1."""
+    if not all(local_membership(f, comp) for comp in a.tracked.values()):
+        return False
+    den = lcm(*(b.denominator for b in binomial_coeffs(f)))
+    return strip_primes(den, a.tracked) == 1
+
+
 def min_valuation_on_zp(f: RatPoly, p: int):
     """inf over Z_p of v_p(f(x)); equals the min binomial-basis coefficient valuation."""
     if f.is_zero():
         return INF
-    return min(valp(b, p) for b in f.binomial_coeffs())
+    return min(valp(b, p) for b in binomial_coeffs(f))
 
 
 def sieve_primes_below(n: int) -> List[int]:
@@ -262,7 +288,7 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
                                       f"degree {n} needs more")
                 w = p_ordering(comp, n).w[n]
             denominator *= p ** w
-        p_set = sorted(p for p in primes if count_mod_p(a.component(p)) <= n)
+        p_set = sorted(p for p in primes if count_residues(a.component(p), 1) <= n)
         if not p_set:
             polys.append(RatPoly.x_power(n))
             continue
@@ -272,7 +298,7 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
         c = f_n.lc()
         g, u, v = _xgcd(c.numerator, c.denominator)
         assert g == 1
-        g_n = f_n.scale(u) + RatPoly.x_power(n, v)
+        g_n = poly_sum([f_n.scale(u), RatPoly.x_power(n, v)])
         assert g_n.lc() == Fraction(1, c.denominator) and c.denominator == denominator
         polys.append(g_n)
     return BasisFamily(set=a, polys=tuple(polys))

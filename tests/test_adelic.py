@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padelic.adelic import (AdelicPoly, adelic_basis, adelic_membership,
-                            adelic_ordering, conjugate_poly, poly_as_adelic,
-                            scale_into_z)
+from padelic.adelic import (AdelicPoly, adelic_membership, adelic_ordering,
+                            poly_as_adelic, scale_into_z)
 from padelic.errors import NoAdelicOrdering
 from padelic.globalbasis import regular_basis
 from padelic.polys import RatPoly
@@ -52,14 +51,6 @@ def test_pzp_default_has_no_ordering():
     assert adelic_ordering(a, 1).length() == 1
 
 
-def test_adelic_basis_is_binomial_on_zhat():
-    o = adelic_ordering(ZHAT, 7)
-    for n in range(7):
-        g = adelic_basis(o, n)
-        assert g.default == RatPoly.binomial(n)
-        assert adelic_membership(g, o)
-
-
 def test_basis_transfer_from_global():
     a = AdelicSet(tracked={2: CompactSet.pzp(2), 3: CompactSet.zp(3)}, default=FULL)
     fam = regular_basis(a, 5)
@@ -72,6 +63,7 @@ def test_membership_rejects_non_integral():
     o = adelic_ordering(ZHAT, 5)
     bad = poly_as_adelic(RatPoly.make([0, Fraction(1, 2)]), o)
     assert not adelic_membership(bad, o)
+    assert all(adelic_membership(poly_as_adelic(RatPoly.binomial(n), o), o) for n in range(5))
 
 
 def test_scale_into_z():
@@ -92,14 +84,6 @@ def test_scale_into_z_integral_input_is_unscaled():
 def test_scale_into_z_rejects_composite_key(p):
     with pytest.raises(ValueError, match="not a prime"):
         scale_into_z({p: [(3, 1)]})
-
-
-def test_conjugate_poly():
-    f = RatPoly.make([1, 0, 1])  # x^2 + 1
-    g = conjugate_poly(f, 2, 4)  # (f(2x))/4 = x^2 + 1/4
-    assert g == RatPoly.make([Fraction(1, 4), 0, 1])
-    x = Fraction(3)
-    assert g(x) == f(2 * x) / 4
 
 
 @given(st.integers(0, 10 ** 6))

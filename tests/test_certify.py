@@ -28,8 +28,7 @@ from oracles import certify_by_differences, first_miss_all_points
 
 
 def _series(s: MahlerSeries, coeffs) -> MahlerSeries:
-    return MahlerSeries(ordering=s.ordering, coeffs=tuple(coeffs),
-                        precision=s.precision, certified=False)
+    return MahlerSeries(ordering=s.ordering, coeffs=tuple(coeffs), precision=s.precision)
 
 
 def _domain(p: int, shape: str, rng: random.Random) -> CompactSet:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import padelic.ordering
 from padelic.cli import _HANDLERS, run
+from padelic.sets import MAX_EXPONENT
 
 
 def run_cli(argv, capsys):
@@ -189,6 +190,31 @@ def test_degree_and_length_are_capped(capsys, verb, option, value):
     assert code == 2
     assert json.loads(out) == {"error": "ValueError",
                                "detail": "--degree is capped at 256, --length at 257"}
+
+
+_ONE_BALL = {"p": 3, "balls": [{"center": 0, "k": 0}]}
+_EXPONENT_CASES = {
+    "precision": lambda e: (["adelic-ordering", "--adelic", "default=Zp; p=3; balls: 1+p^1",
+                             "--length", "2", "--precision", str(e)], None),
+    "radius": lambda e: (["ordering", "--set", f"p=3; balls: 1+p^{e}", "--length", "2"], None),
+    "m": lambda e: (["expand"], {"p": 3, "m": e, "N": 2, "set": _ONE_BALL, "table": {"0": 1}}),
+    "N": lambda e: (["expand"], {"p": 3, "m": 0, "N": e, "set": _ONE_BALL, "table": {"0": 1}}),
+    "scale": lambda e: (["scale"], {"components": {"3": [[1, e]]}}),
+}
+
+
+@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 10 ** 8], ids=["edge", "1e8"])
+@pytest.mark.parametrize("case", sorted(_EXPONENT_CASES))
+def test_every_exponent_of_p_is_capped(tmp_path, capsys, case, exponent):
+    # refused before p is raised to it: at 10^8 each of these ran past a 5 s timeout
+    argv, request_obj = _EXPONENT_CASES[case](exponent)
+    if request_obj is not None:
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(request_obj))
+        argv += ["--request", str(req)]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
 
 
 def test_pzp_adelic_ordering_rejected(capsys):
@@ -531,8 +557,6 @@ _JSON = st.recursive(
     max_leaves=8)
 _RADIUS = st.one_of(st.integers(0, 3), st.just(-1))
 _COUNT = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2, 257, 258, 10 ** 8]).map(str)
-# --precision has no cap, and p^(10^8) is too large to compute
-_DIGITS = st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -2]).map(str)
 _SET_JSON = st.one_of(
     st.fixed_dictionaries({"p": _PRIME, "balls": st.lists(st.fixed_dictionaries(
         {"center": _SMALL, "k": _RADIUS}), max_size=3)}),
@@ -589,7 +613,7 @@ _POLY = st.one_of(
         lambda ts: " + ".join(f"{a}/{b}*x^{n}" for a, b, n in ts)),
     _DSL)
 _OPTIONS = {"--set": _SET_DSL, "--adelic": _ADELIC_DSL, "--poly": _POLY,
-            "--degree": _COUNT, "--length": _COUNT, "--precision": _DIGITS,
+            "--degree": _COUNT, "--length": _COUNT, "--precision": _COUNT,
             "--request": st.just("request.json")}
 
 

@@ -18,7 +18,8 @@ from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, parse_adelic
 
-from oracles import crt_combine_by_fractions, membership_by_factoring, regular_basis_per_degree
+from oracles import (crt_combine_by_fractions, membership_by_binomial_lcm,
+                     membership_by_factoring, poly_sum, regular_basis_per_degree)
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -155,10 +156,11 @@ def test_global_membership():
     assert global_membership(RatPoly.make([0, 0, Fraction(1, 2)]), a)
 
 
-def random_binomial_poly(rng: random.Random, tracked, max_den: int) -> RatPoly:
+def random_binomial_poly(rng: random.Random, tracked, max_den: int,
+                         max_degree: int = 3) -> RatPoly:
     """sum b_k binom(x, k) whose denominators are random, tracked-only or 1."""
-    f = RatPoly.zero()
-    for k in range(rng.randrange(1, 5)):
+    terms = []
+    for k in range(rng.randrange(1, max_degree + 2)):
         kind = rng.randrange(3)
         if kind == 0:
             den = rng.randrange(1, max_den)
@@ -166,8 +168,8 @@ def random_binomial_poly(rng: random.Random, tracked, max_den: int) -> RatPoly:
             den = math.prod(p ** rng.randrange(3) for p in tracked)
         else:
             den = 1
-        f = f + RatPoly.binomial(k).scale(Fraction(rng.randrange(-50, 51), den))
-    return f
+        terms.append(RatPoly.binomial(k).scale(Fraction(rng.randrange(-50, 51), den)))
+    return poly_sum(terms)
 
 
 @given(st.sampled_from([FULL, PZP]), st.integers(0, 10 ** 6))
@@ -180,6 +182,21 @@ def test_global_membership_matches_factoring_oracle(default, seed):
     a = AdelicSet(tracked=tracked, default=default)
     f = random_binomial_poly(rng, tracked, 10 ** 6 if default == FULL else 10 ** 4)
     assert global_membership(f, a) == membership_by_factoring(f, a)
+
+
+@given(st.integers(0, 12), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_zp_default_membership_matches_binomial_lcm(max_degree, seed):
+    # the integer values of F/D against the Fraction binomial coefficients
+    rng = random.Random(seed)
+    tracked = {p: rng.choice([CompactSet.pzp(p), CompactSet.from_balls(p, [(1, 1)])])
+               for p in rng.sample([2, 3, 5, 7], rng.randrange(0, 3))}
+    a = AdelicSet(tracked=tracked, default=FULL)
+    f = random_binomial_poly(rng, tracked, 10 ** 6, max_degree)
+    if rng.randrange(2):  # a monomial-basis perturbation, mostly not integer-valued
+        f = poly_sum([f, RatPoly.x_power(rng.randrange(max_degree + 1),
+                                         Fraction(1, rng.randrange(1, 50)))])
+    assert global_membership(f, a) == membership_by_binomial_lcm(f, a)
 
 
 def test_prime_factors_refuses_beyond_the_bound():

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import padelic.ordering
 from padelic.errors import NotCertified, PrecisionExhausted
-from padelic.mahler import (StepFunction, evaluate, expand,
-                            expand_adelic, expand_in_basis, sup_norm_data)
+from padelic.mahler import StepFunction, evaluate, expand, expand_in_basis, sup_norm_data
 from padelic.adelic import adelic_ordering
 from padelic.ordering import basis_rational
 from padelic.padic import INF, PAdicInt, residue
@@ -86,15 +85,6 @@ def test_evaluate_rational_argument_in_ball_domain():
     assert evaluate(s, Fraction(1, 3)).residue == phi.value_at(Fraction(1, 3))
 
 
-def test_sampling_adaptor():
-    dom = CompactSet.zp(3)
-    phi = StepFunction.from_callable(lambda r: Fraction(r * r, 2), dom, 2, 5)
-    assert phi.value_at(4) == Fraction(16, 2).numerator * pow(2, -1, 3 ** 5) * 16 % 3 ** 5 \
-        or phi.value_at(4) == (8 % 3 ** 5)  # 16/2 = 8 exactly
-    with pytest.raises(ValueError):
-        StepFunction.from_callable(lambda r: Fraction(1, 3), dom, 1, 4)
-
-
 def test_recursion_equals_triangular_solve():
     random.seed(11)
     dom = CompactSet.zp(2)
@@ -120,8 +110,7 @@ def test_sup_norm_identity_requires_certificate():
     s = expand(phi, 4)
     lo, hi = sup_norm_data(s, phi)
     assert lo == hi == 2  # all values divisible by 4, one exactly
-    uncert = type(s)(ordering=s.ordering, coeffs=s.coeffs, precision=s.precision,
-                     certified=False)
+    uncert = type(s)(ordering=s.ordering, coeffs=s.coeffs, precision=s.precision)
     with pytest.raises(NotCertified):
         sup_norm_data(uncert, phi)
 
@@ -141,17 +130,6 @@ def test_finite_domain_expansion_is_interpolation():
     assert s.certified and s.length() <= 4
     for e in dom.finite:
         assert evaluate(s, e).residue == phi.value_at(e)
-
-
-def test_expand_adelic_componentwise():
-    a = AdelicSet(tracked={2: CompactSet.zp(2), 3: CompactSet.zp(3)}, default=FULL)
-    phis = {2: step(2, CompactSet.zp(2), 1, {0: 0, 1: 1}, 4),
-            3: step(3, CompactSet.zp(3), 1, {0: 0, 1: 1, 2: 4}, 4)}
-    s = expand_adelic(phis, 4)
-    assert s.certified()
-    assert set(s.per_prime) == {2, 3}
-    c1 = s.coefficient(1)
-    assert set(c1) == {2, 3}
 
 
 def test_expand_runs_one_ordering_search(monkeypatch):
@@ -176,8 +154,6 @@ def test_expand_adelic_orders_a_finite_component_at_its_own_precision():
     a = AdelicSet(tracked={3: dom}, default=FULL)
     phi = StepFunction(3, dom, 1, {1: 1, 2: 2}, 4)
     assert adelic_ordering(a, 2, 5).local[3].points == expand(phi, 4).ordering.points[:2]
-    s = expand_adelic({3: phi}, 4)
-    assert s.certified() and s.per_prime[3].coeffs == expand(phi, 4).coeffs
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 10 ** 6))

@@ -34,16 +34,16 @@ def test_valp_rejects_modulus_below_two(p):
 
 
 def test_embed_and_residue():
-    x = PAdicInt.from_rational(6, 2, 5)
-    assert (x.residue, x.precision, x.valuation()) == (6, 5, 1)
-    z = PAdicInt.from_rational(0, 2, 4)
-    assert z.valuation() == INF and z.precision == 4
+    x = PAdicInt(2, residue(6, 2 ** 5), 5)
+    assert (x.residue, x.precision, valp(x.residue, 2)) == (6, 5, 1)
+    z = PAdicInt(2, residue(0, 2 ** 4), 4)
+    assert valp(z.residue, 2) == INF and z.precision == 4
 
 
 def test_embed_rational():
     # 1/3 in Z_2: 3 * residue = 1 mod 2^6
-    x = PAdicInt.from_rational(Fraction(1, 3), 2, 6)
-    assert x.valuation() == 0
+    x = PAdicInt(2, residue(Fraction(1, 3), 2 ** 6), 6)
+    assert valp(x.residue, 2) == 0
     assert 3 * x.residue % 64 == 1
 
 
@@ -72,8 +72,8 @@ def test_mul_agrees_with_integers(p, a, b, n):
 
 
 def test_padic_int_roundtrip():
-    x = PAdicInt.from_rational(Fraction(7, 5), 3, 4)
+    x = PAdicInt(3, residue(Fraction(7, 5), 3 ** 4), 4)
     assert 5 * x.residue % 81 == 7 % 81
-    assert x.valuation() == 0
+    assert valp(x.residue, 3) == 0
     with pytest.raises(ValueError):
-        PAdicInt.from_rational(Fraction(1, 3), 3, 4)
+        PAdicInt(3, residue(Fraction(1, 3), 3 ** 4), 4)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padelic.errors import EmptySet
-from padelic.padic import PAdicInt, valp
-from padelic.sets import (FULL, PZP, UNKNOWN, AdelicSet, CompactSet, contains,
-                          count_mod_p, normalize, parse_adelic, parse_set,
+from padelic.padic import valp
+from padelic.sets import (FULL, PZP, AdelicSet, CompactSet, count_residues,
+                          normalize, parse_adelic, parse_set,
                           residues, set_from_json, set_to_json,
                           adelic_from_json, adelic_to_json)
 from padelic.utils import is_prime
@@ -47,24 +47,9 @@ def test_residues_of_ball_union():
 
 
 def test_count_mod_p():
-    assert count_mod_p(CompactSet.zp(5)) == 5
-    assert count_mod_p(CompactSet.pzp(5)) == 1
-    assert count_mod_p(CompactSet.from_finite(3, [1, 4, 2])) == 2  # 1=4 mod 3
-
-
-def test_contains_three_valued():
-    s = CompactSet.from_balls(2, [(1, 2)])  # 1 + 4Z_2
-    assert contains(s, PAdicInt.from_rational(5, 2, 6)) is True
-    assert contains(s, PAdicInt.from_rational(2, 2, 6)) is False
-    # element known only mod 2: consistent with the ball but not decided
-    assert contains(s, PAdicInt.from_rational(1, 2, 1)) is UNKNOWN
-
-
-def test_contains_finite():
-    # equality with a single point is never decidable at finite precision
-    s = CompactSet.from_finite(3, [Fraction(1, 2), 4])
-    assert contains(s, PAdicInt.from_rational(Fraction(1, 2), 3, 8)) is UNKNOWN
-    assert contains(s, PAdicInt.from_rational(7, 3, 8)) is False
+    assert count_residues(CompactSet.zp(5), 1) == 5
+    assert count_residues(CompactSet.pzp(5), 1) == 1
+    assert count_residues(CompactSet.from_finite(3, [1, 4, 2]), 1) == 2  # 1=4 mod 3
 
 
 def test_parse_set_dsl():
