@@ -18,7 +18,7 @@ from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
 from .polys import RatPoly
 from .sets import FULL, MAX_EXPONENT, PZP, AdelicSet, CompactSet
-from .utils import is_prime, primes_up_to, strip_primes
+from .utils import is_prime, primes_up_to, strip_primes, v_of_factorial
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class AdelicOrdering:
         if p in self.local:
             return self.local[p].w[n]
         if self.set.default == FULL:
-            from .utils import v_of_factorial
             return v_of_factorial(n, p)
         raise NoAdelicOrdering("no ordering data for untracked pZ_p components")
 

@@ -59,7 +59,6 @@ class CharIdeal:
 class BasisFamily:
     """Regular basis polys[n] (degree n) of the integer-valued polynomials on a set."""
 
-    set: AdelicSet
     polys: Tuple[RatPoly, ...]
 
 
@@ -79,10 +78,9 @@ def _component_w(a: AdelicSet, p: int, n: int, local: _Locals) -> int:
     """w_p(n) of the component at p; Legendre's formula for an untracked Z_p."""
     if p not in a.tracked and a.default == FULL:
         return v_of_factorial(n, p)
-    comp = a.component(p)
-    if comp.is_finite() and len(comp.finite) <= n:
-        raise SetTooSmall(
-            f"component at {p} has {len(comp.finite)} elements, degree {n} needs more")
+    size = a.component(p).size()
+    if size <= n:
+        raise SetTooSmall(f"component at {p} has {size} elements, degree {n} needs more")
     return local[p].extend(n).w[n]
 
 
@@ -171,7 +169,7 @@ def regular_basis(a: AdelicSet, max_degree: int) -> BasisFamily:
         f_n = [c * u for c in f_n]
         f_n[n] += v * den
         polys.append(RatPoly.over(den, f_n))
-    return BasisFamily(set=a, polys=tuple(polys))
+    return BasisFamily(polys=tuple(polys))
 
 
 def global_membership(f: RatPoly, a: AdelicSet) -> bool:

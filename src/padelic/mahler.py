@@ -19,16 +19,17 @@ hence unimodular.  So those values all vanish modulo p^M exactly when every
 Mahler coefficient does, and then G vanishes modulo p^M on all of Z_p: f is
 within p^-k of phi on the whole ball, which certifies agreement at every
 residue of the domain at any depth.  A class that fails, fails at one of
-these points, so the first miss is the same as with t = 0..top.  A finite
-domain is checked at its elements.  The certificate of a truncated series
-S = sum_{n<=top} c_n f_n (``_certify``) is this check with k = N and f = S;
-``approx`` checks its combined polynomial against each target with that
-target's k and the polynomial's own denominator.
+these points, so the first miss is the same as with t = 0..top.  A domain's
+points are checked one by one; d and the classes come from its balls.  The
+certificate of a truncated series S = sum_{n<=top} c_n f_n (``_certify``) is
+this check with k = N and f = S; ``approx`` checks its combined polynomial
+against each target with that target's k and the polynomial's own
+denominator.
 
 ``_certify`` folds S into one integer polynomial.  With
-W = w(top), the exact integer points L a_j of the ordering (L = 1 except on
-a finite domain; see ``ordering``), g_k(y) = prod_{j<k}(y - L a_j) and u_k
-the unit part of g_k(L a_k),
+W = w(top), the exact integer points L a_j of the ordering (L = 1 unless a
+point has a denominator; see ``ordering``), g_k(y) = prod_{j<k}(y - L a_j)
+and u_k the unit part of g_k(L a_k),
 
     H(y) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(y)  mod p^(N + W)
 
@@ -77,7 +78,7 @@ class StepFunction:
                 or set(self.table) != residues(self.domain, self.modulus_exp)):
             raise ValueError("table keys must be exactly the domain residues")
         depth = max(self.modulus_exp, self.domain.max_ball_exponent())
-        if not self.domain.is_finite() and count_residues(self.domain, depth) > MAX_CLASSES:
+        if count_residues(self.domain, depth) > MAX_CLASSES:
             raise ValueError(f"the certificate would visit more than {MAX_CLASSES} classes "
                              f"mod {self.prime}^{depth}")
         mod = self.prime ** self.precision
@@ -124,13 +125,12 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
         raise PrecisionExhausted(
             f"function values carry {phi.precision} digits, {n_prec} requested")
     p = phi.prime
-    domain = phi.domain
-    finite = domain.is_finite()
-    cap = len(domain.finite) - 1 if finite else _default_length_cap(phi)
+    size = phi.domain.size()
+    cap = _default_length_cap(phi) if size == INF else size - 1
     run_target = max(1, p ** phi.modulus_exp)
     # the domain is ordered once, with no precision, and each coefficient
     # pulls one more step of the same ordering
-    o = p_ordering(domain, 0)
+    o = p_ordering(phi.domain, 0)
     coeffs: List[int] = []
     small = p ** n_prec
     run = 0
@@ -142,7 +142,7 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
         c %= small
         coeffs.append(c)
         run = run + 1 if c == 0 else 0
-        done_finite = finite and n == cap
+        done_finite = n == size - 1  # a finite domain is fully ordered
         if done_finite or (run >= run_target and run % run_target == 0):
             series = MahlerSeries(ordering=o, coeffs=tuple(coeffs), precision=n_prec)
             if _certify(series, phi):
@@ -184,26 +184,24 @@ def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Opti
     """Where num/den first leaves phi + p^k Z_p on phi's domain, or None.
 
     num holds integer coefficients, highest degree first, and den > 0.  The
-    test points are those of the module docstring: the elements of a finite
-    domain, and t = 0..min(deg, J) at every class c + p^d t of a ball domain,
+    test points are those of the module docstring: the points of the domain
+    first, then t = 0..min(deg, J) at every class c + p^d t of its balls,
     visited in ``residues`` order.
     """
     p = phi.prime
     digits = k + valp(den, p)
     mod = p ** digits
     num = [c % mod for c in num]
-    domain = phi.domain
-    if domain.is_finite():
-        for e in domain.finite:
-            if (horner_mod(num, residue(e, mod), mod) - den * phi.value_at(e)) % mod:
-                return f"element {e}"
-        return None
-    depth = max(phi.modulus_exp, domain.max_ball_exponent())
+    balls = CompactSet(p, tuple(b for b in phi.domain.parts if b[1] != INF))
+    for x, _ in phi.domain.parts[len(balls.parts):]:  # the points come last
+        if (horner_mod(num, residue(x, mod), mod) - den * phi.value_at(x)) % mod:
+            return f"element {x}"
+    depth = max(phi.modulus_exp, balls.max_ball_exponent())
     step = p ** depth
     points = max(len(num), 1)
     if depth:
         points = min(points, -(-digits // depth))  # t = 0..J, J = ceil(digits/d) - 1
-    for c in residues(domain, depth):
+    for c in residues(balls, depth):
         target = den * phi.value_at(c)
         if any((horner_mod(num, (c + step * t) % mod, mod) - target) % mod
                for t in range(points)):

@@ -15,11 +15,11 @@ step valuation counts only the previous points of its own class, so the
 orderings of the parts of E in the classes mod p are merged, taking the
 least (w, point) each time.
 
-A finite set enters the recursion as balls of radius INF, after its elements
-are multiplied by the lcm L of their denominators.  L is positive and prime
-to p, so it keeps every valuation of a difference and the order of the
-points, and the recursion runs on the exact integers L a_n.  A ball union has
-L = 1.
+A set enters the recursion as its parts (centre, radius), where a point is a
+ball of radius INF, after every centre is multiplied by the lcm L of the
+centres' denominators.  L is positive and prime to p, so it keeps every
+valuation of a difference and the order of the points, and the recursion
+runs on the exact integers L a_n.  A ball union has L = 1.
 
 The ordering is a stream of steps (a_n, w(n)), and step n never depends on
 how many steps follow, so every prefix of an ordering is itself the ordering
@@ -56,7 +56,7 @@ class POrdering:
     g_n = prod_{k<n} (x - a_k) modulo p^W, and ``basis_values`` the tables
     of ``basis_tables``, which are built only when first asked for.
     ``numerators`` holds the exact integers L a_n, with ``scale`` = L the
-    lcm of a finite set's denominators (1 for a ball union).
+    lcm of the set's centre denominators (1 for a ball union).
     """
 
     def __init__(self, s: CompactSet):
@@ -77,9 +77,9 @@ class POrdering:
         """Pull steps until a_length is known; a finite set raises
         LengthExceedsSet when it has too few elements."""
         if length > self.length():
-            if self.set.is_finite() and length >= len(self.set.finite):
+            if length >= self.set.size():
                 raise LengthExceedsSet(
-                    f"ordering of length {length} from a set of {len(self.set.finite)} elements")
+                    f"ordering of length {length} from a set of {self.set.size()} elements")
             nums, w = zip(*islice(self._steps, length - self.length()))
             self.numerators += nums
             self.points += nums if self.scale == 1 else tuple(
@@ -158,14 +158,12 @@ def p_ordering(s: CompactSet, length: int) -> POrdering:
 def _ordering_steps(s: CompactSet) -> Tuple[int, Iterator[Step]]:
     """(L, the steps (L a_n, w(n)) of s, n = 0, 1, ...); a finite set's run out.
 
-    A finite set is scaled by the lcm L of its denominators and enters
-    Bhargava's recursion as balls of radius INF; a ball union has L = 1.
+    The centres are scaled by the lcm L of their denominators, which is 1
+    for a ball union; L is a unit, so L(c + p^k Z_p) = Lc + p^k Z_p.
     """
-    if s.is_finite():
-        scale = lcm(*(x.denominator for x in s.finite))
-        points = [(x.numerator * (scale // x.denominator), INF) for x in s.finite]
-        return scale, _p_ordering_balls(s.prime, points)
-    return 1, _p_ordering_balls(s.prime, s.balls)
+    scale = lcm(*[c.denominator for c, _ in s.parts])
+    return scale, _p_ordering_balls(
+        s.prime, [(c.numerator * (scale // c.denominator), k) for c, k in s.parts])
 
 
 def _p_ordering_balls(p: int, balls: Sequence[Tuple[int, int]]) -> Iterator[Step]:
@@ -243,8 +241,8 @@ def local_membership(f: RatPoly, s: CompactSet) -> bool:
     """Whether f maps the set into Z_p, via values at p-ordering points.
 
     f of degree d maps the set into Z_p exactly when f(a_0), ..., f(a_d) lie
-    in Z_p, at the points of its p-ordering (every element of a finite set
-    with at most d + 1 elements).  With f = F/D, F integral, f(a) lies in Z_p
+    in Z_p, at the points of its p-ordering (every element of a set with at
+    most d + 1 elements).  With f = F/D, F integral, f(a) lies in Z_p
     exactly when F(a) = 0 mod p^v_p(D), so the values are tested on integer
     residues.  When p does not divide D, f maps all of Z_p into Z_p and no
     ordering is built.  No precision is involved.
@@ -255,8 +253,8 @@ def local_membership(f: RatPoly, s: CompactSet) -> bool:
     if v == 0:
         return True
     d = f.degree()
-    if s.is_finite() and d >= len(s.finite):
-        pts: List[Point] = list(s.finite)
+    if d >= s.size():
+        pts: List[Point] = [x for x, _ in s.parts]
     else:
         pts = list(p_ordering(s, d).points)
     mod = p ** v

@@ -1,7 +1,7 @@
-"""Compact subsets of Z_p (ball unions / finite lists) and adelic products.
+"""Compact subsets of Z_p and adelic products.
 
-A ``CompactSet`` is either a finite disjoint union of balls ``c + p^k Z_p``
-or a finite list of exact rationals with non-negative valuation.  An
+A ``CompactSet`` is one sorted tuple of parts (centre, radius): a ball
+c + p^k Z_p has an integer centre, and a point x is the part (x, INF).  An
 ``AdelicSet`` tracks finitely many primes explicitly and fills in every other
 prime with one of two symbolic defaults: all of Z_p, or pZ_p.
 """
@@ -9,17 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .errors import EmptySet
-from .padic import Rat, residue, valp
+from .padic import INF, Rat, residue, valp
 from .utils import is_prime
 
 #: Symbolic default families for untracked primes.
 FULL = "Zp"
 PZP = "pZp"
 
-#: Most balls or elements a set may be given with.  The ordering recurses
+#: Most balls or points a set may be given with.  The ordering recurses
 #: once per split, so many nested balls or points would exhaust the
 #: interpreter stack.
 MAX_PARTS = 256
@@ -36,78 +36,63 @@ MAX_EXPONENT = 1 << 10
 
 @dataclass(frozen=True)
 class CompactSet:
-    """Compact subset of Z_p: ball union or finite exact set."""
+    """Compact subset of Z_p: disjoint parts sorted by (radius, centre), points last."""
 
     prime: int
-    balls: Optional[Tuple[Tuple[int, int], ...]] = None  # (center, radius exponent)
-    finite: Optional[Tuple[Fraction, ...]] = None
-
-    def __post_init__(self):
-        if (self.balls is None) == (self.finite is None):
-            raise ValueError("exactly one of balls/finite must be given")
+    parts: Tuple[Tuple[Rat, int], ...]  # (centre, radius); a point has radius INF
 
     @classmethod
     def from_balls(cls, p: int, balls: Sequence[Tuple[int, int]]) -> "CompactSet":
-        return normalize(cls(p, balls=tuple((c, k) for c, k in balls)))
+        return normalize(cls(p, tuple((c, k) for c, k in balls)))
 
     @classmethod
     def from_finite(cls, p: int, elems: Sequence[Rat]) -> "CompactSet":
-        return normalize(cls(p, finite=tuple(Fraction(x) for x in elems)))
+        return normalize(cls(p, tuple((Fraction(x), INF) for x in elems)))
 
     @classmethod
     def zp(cls, p: int) -> "CompactSet":
-        return cls(p, balls=((0, 0),))
+        return cls(p, ((0, 0),))
 
     @classmethod
     def pzp(cls, p: int) -> "CompactSet":
-        return cls(p, balls=((0, 1),))
+        return cls(p, ((0, 1),))
 
-    def is_finite(self) -> bool:
-        return self.finite is not None
+    def size(self):
+        """The number of elements; INF once the set has a ball."""
+        return len(self.parts) if self.parts[0][1] == INF else INF
 
     def max_ball_exponent(self) -> int:
-        return max((k for _, k in self.balls), default=0) if self.balls else 0
-
-    def __str__(self):
-        if self.is_finite():
-            return f"p={self.prime}; finite: " + ", ".join(str(x) for x in self.finite)
-        return f"p={self.prime}; balls: " + ", ".join(
-            f"{c}+p^{k}" for c, k in self.balls)
+        return max((k for _, k in self.parts if k != INF), default=0)
 
 
 def normalize(s: CompactSet) -> CompactSet:
-    """Canonical form: disjoint balls sorted by (k, center), or deduped finite list."""
-    parts = s.balls if s.balls is not None else s.finite
+    """Canonical form: disjoint balls, then the points outside them.  Only a
+    Fraction centre may have radius INF, so a ball of JSON radius Infinity is refused."""
+    parts = s.parts
     if len(parts) > MAX_PARTS:
-        kind = "balls" if s.balls is not None else "elements"
-        raise ValueError(f"{len(parts)} {kind} given, at most {MAX_PARTS} allowed")
+        raise ValueError(f"{len(parts)} balls or points given, at most {MAX_PARTS} allowed")
     p = s.prime
     if not _is_int(p) or not is_prime(p):
         raise ValueError(f"modulus {p!r} is not a prime")
-    if s.is_finite():
-        seen, out = set(), []
-        for x in s.finite:
-            if valp(x, p) < 0:
-                raise ValueError(f"{x} has negative {p}-adic valuation")
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-        if not out:
-            raise EmptySet("finite set with no elements")
-        return CompactSet(p, finite=tuple(sorted(out)))
-    if not s.balls:
-        raise EmptySet("ball union with no balls")
-    for c, k in s.balls:
-        if not (_is_int(c) and _is_int(k)) or not 0 <= k <= MAX_EXPONENT:
+    if not parts:
+        raise EmptySet("set with no balls or points")
+    balls, points = set(), []
+    for c, k in parts:
+        if k == INF and isinstance(c, Fraction):
+            if valp(c, p) < 0:
+                raise ValueError(f"{c} has negative {p}-adic valuation")
+            points.append(c)
+        elif not (_is_int(c) and _is_int(k)) or not 0 <= k <= MAX_EXPONENT:
             raise ValueError(f"ball {c!r}+p^{k!r} needs an integer centre "
                              f"and radius in 0..{MAX_EXPONENT}")
-    balls = {(c % p ** k, k) for c, k in s.balls}
+        else:
+            balls.add((c % p ** k, k))
     changed = True
     while changed:
         changed = False
-        kept = set()
+        kept, radii = set(), {k for _, k in balls}
         for c, k in sorted(balls, key=lambda b: b[1]):  # shallow first
-            if not any(k > k0 and c % p ** k0 == c0 for c0, k0 in kept):
+            if not any((c % p ** k0, k0) in kept for k0 in radii if k0 < k):
                 kept.add((c, k))
         # coalesce complete sibling families: p balls of radius k, one parent
         balls = kept
@@ -119,7 +104,11 @@ def normalize(s: CompactSet) -> CompactSet:
             if len(family) == p:
                 balls = balls.difference(family) | {parent}
                 changed = True
-    return CompactSet(p, balls=tuple(sorted(balls, key=lambda b: (b[1], b[0]))))
+    points = dict.fromkeys(points)  # deduped in input order, which sorts fastest
+    if balls:  # a point inside a ball adds nothing to it
+        points = [x for x in points if not any(residue(x, p ** k) == c for c, k in balls)]
+    return CompactSet(p, tuple(sorted(balls, key=lambda b: (b[1], b[0]))
+                               + [(x, INF) for x in sorted(points)]))
 
 
 def _is_int(x) -> bool:
@@ -132,12 +121,10 @@ def residues(s: CompactSet, m: int) -> set:
         raise ValueError("modulus exponent must be >= 0")
     p = s.prime
     mod = p ** m
-    if s.is_finite():
-        return {residue(x, mod) for x in s.finite}
     out = set()
-    for c, k in s.balls:
+    for c, k in s.parts:
         if k >= m:
-            out.add(c % mod)
+            out.add(residue(c, mod))
         else:
             step = p ** k
             out.update((c + step * t) % mod for t in range(p ** (m - k)))
@@ -147,15 +134,13 @@ def residues(s: CompactSet, m: int) -> set:
 def count_residues(s: CompactSet, m: int) -> int:
     """len(residues(s, m)) without enumerating them.
 
-    The balls of a normalized set are disjoint, so a ball of radius k < m
-    meets p^(m-k) residues that no other ball meets, while a deeper ball
-    meets one residue, which other deep balls may share.
+    The parts of a normalized set are disjoint, so a ball of radius k < m
+    meets p^(m-k) residues that no other part meets, while a deeper ball or
+    a point meets one residue, which other deep parts may share.
     """
-    if s.is_finite():
-        return len(residues(s, m))
     p = s.prime
-    deep = {c % p ** m for c, k in s.balls if k >= m}
-    return len(deep) + sum(p ** (m - k) for _, k in s.balls if k < m)
+    deep = {residue(c, p ** m) for c, k in s.parts if k >= m}
+    return len(deep) + sum(p ** (m - k) for _, k in s.parts if k < m)
 
 
 @dataclass(frozen=True)
@@ -176,11 +161,6 @@ class AdelicSet:
         if p in self.tracked:
             return self.tracked[p]
         return CompactSet.zp(p) if self.default == FULL else CompactSet.pzp(p)
-
-    def __str__(self):
-        parts = [f"default={self.default}"]
-        parts.extend(str(self.tracked[p]) for p in sorted(self.tracked))
-        return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +215,13 @@ def parse_adelic(text: str) -> AdelicSet:
 
 
 def set_to_json(s: CompactSet) -> dict:
-    if s.is_finite():
-        return {"p": s.prime,
-                "finite": [{"num": x.numerator, "den": x.denominator} for x in s.finite]}
-    return {"p": s.prime, "balls": [{"center": c, "k": k} for c, k in s.balls]}
+    out: Dict[str, Any] = {"p": s.prime}
+    for c, k in s.parts:
+        if k == INF:
+            out.setdefault("finite", []).append({"num": c.numerator, "den": c.denominator})
+        else:
+            out.setdefault("balls", []).append({"center": c, "k": k})
+    return out
 
 
 def _json_object(obj: Any, what: str) -> Dict[str, Any]:

@@ -31,8 +31,8 @@ def certify_by_differences(s: MahlerSeries, phi: StepFunction) -> bool:
     p, small = phi.prime, phi.prime ** s.precision
     top = s.length() - 1
     o, domain = s.ordering, phi.domain
-    if domain.is_finite():
-        for e in domain.finite:
+    if domain.size() != INF:
+        for e, _ in domain.parts:
             fvals = o.basis_values(e, top, s.precision)
             total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % small
             if (total - phi.value_at(e)) % small:
@@ -62,8 +62,8 @@ def first_miss_all_points(num, den: int, phi: StepFunction, k: int):
     mod = p ** (k + valp(den, p))
     num = [c % mod for c in num]
     domain = phi.domain
-    if domain.is_finite():
-        for e in domain.finite:
+    if domain.size() != INF:
+        for e, _ in domain.parts:
             if (horner_mod(num, residue(e, mod), mod) - den * phi.value_at(e)) % mod:
                 return f"element {e}"
         return None
@@ -109,8 +109,8 @@ def verify_by_differences(f: RatPoly, r: ApproxRequest):
     elements.  None when every target passes, else the first miss."""
     for p, (phi, k) in r.targets.items():
         domain = phi.domain
-        if domain.is_finite():
-            for e in domain.finite:
+        if domain.size() != INF:
+            for e, _ in domain.parts:
                 if valp(phi.value_at(e) - f(e), p) < k:
                     return f"target at {p} misses element {e}"
             continue
@@ -133,8 +133,8 @@ def membership_at_points(f: RatPoly, s: CompactSet) -> bool:
     if f.is_zero():
         return True
     d = f.degree()
-    if s.is_finite() and d >= len(s.finite):
-        pts = list(s.finite)
+    if d >= s.size():
+        pts = [x for x, _ in s.parts]
     else:
         pts = list(p_ordering(s, d).points)
     return all(valp(f(a), s.prime) >= 0 for a in pts)
@@ -283,8 +283,8 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
                 w = v_of_factorial(n, p)
             else:
                 comp = a.tracked[p]
-                if comp.is_finite() and len(comp.finite) <= n:
-                    raise SetTooSmall(f"component at {p} has {len(comp.finite)} elements, "
+                if comp.size() <= n:
+                    raise SetTooSmall(f"component at {p} has {comp.size()} elements, "
                                       f"degree {n} needs more")
                 w = p_ordering(comp, n).w[n]
             denominator *= p ** w
@@ -301,7 +301,7 @@ def regular_basis_per_degree(a: AdelicSet, max_degree: int,
         g_n = poly_sum([f_n.scale(u), RatPoly.x_power(n, v)])
         assert g_n.lc() == Fraction(1, c.denominator) and c.denominator == denominator
         polys.append(g_n)
-    return BasisFamily(set=a, polys=tuple(polys))
+    return BasisFamily(polys=tuple(polys))
 
 
 def greedy_ball_ordering(s: CompactSet, length: int, n_prec: int = DEFAULT_PRECISION
@@ -373,7 +373,7 @@ def greedy_finite_ordering(s: CompactSet, n_prec: int = DEFAULT_PRECISION
     """
     p = s.prime
     mod = p ** n_prec
-    remaining = sorted(s.finite, key=lambda x: (residue(x, mod), x))
+    remaining = sorted((x for x, _ in s.parts), key=lambda x: (residue(x, mod), x))
     points, w = [remaining.pop(0)], [0]
     # sums[i] = sum of valp(remaining[i] - a_k) over the points chosen so far
     sums = [0] * len(remaining)

@@ -69,15 +69,15 @@ def test_membership_rejects_non_integral():
 def test_scale_into_z():
     d, scaled = scale_into_z({2: [(Fraction(1, 2), 1)], 3: [(0, 1)]})
     assert d == 2
-    assert scaled.tracked[2].balls == ((1, 2),)  # (1/2 + 2Z_2) * 2 = 1 + 4Z_2
-    assert scaled.tracked[3].balls == ((0, 1),)
+    assert scaled.tracked[2].parts == ((1, 2),)  # (1/2 + 2Z_2) * 2 = 1 + 4Z_2
+    assert scaled.tracked[3].parts == ((0, 1),)
     assert scaled.default == FULL
 
 
 def test_scale_into_z_integral_input_is_unscaled():
     d, scaled = scale_into_z({5: [(3, 2)]})
     assert d == 1
-    assert scaled.tracked[5].balls == ((3, 2),)
+    assert scaled.tracked[5].parts == ((3, 2),)
 
 
 @pytest.mark.parametrize("p", [1, 4, 6])

@@ -96,7 +96,7 @@ def test_evaluator_values_match_exact_basis():
     # a finite set's rational and negative points keep N + w(n) digits
     fin = p_ordering(CompactSet.from_finite(
         3, [Fraction(1, 2), 5, -4, 0, 9, Fraction(7, 4), 2, 1]), 7)
-    for x in fin.set.finite:
+    for x, _ in fin.set.parts:
         assert fin.basis_values(x, 7, 6) == [residue(basis_rational(fin, k)(x), 3 ** 6)
                                              for k in range(8)]
 

@@ -312,6 +312,17 @@ def test_json_set_with_string_prime_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "ValueError"
 
 
+def test_json_ball_of_infinite_radius_exit_code(tmp_path, capsys):
+    # JSON's Infinity reads as a float radius: the ball is refused, not read as the point 5
+    req = tmp_path / "req.json"
+    req.write_text('{"p": 2, "set": {"p": 2, "balls": [{"center": 5, "k": Infinity}]}, '
+                   '"m": 1, "table": {"1": 1}, "N": 4}')
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+    assert "needs an integer centre" in json.loads(out)["detail"]
+
+
 def test_precision_below_one_exit_code(capsys):
     for precision in ("0", "-3"):
         code, out = run_cli(["ordering", "--set", "p=2; balls: 0+p^1", "--length", "3",

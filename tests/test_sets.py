@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padelic.errors import EmptySet
-from padelic.padic import valp
+from padelic.padic import INF, valp
 from padelic.sets import (FULL, PZP, AdelicSet, CompactSet, count_residues,
                           normalize, parse_adelic, parse_set,
                           residues, set_from_json, set_to_json,
@@ -17,13 +17,13 @@ from padelic.utils import is_prime
 
 def test_normalize_merges_contained_balls():
     s = CompactSet.from_balls(2, [(0, 1), (4, 3), (1, 2)])  # 4+8Z inside 0+2Z
-    assert s.balls == ((0, 1), (1, 2))
+    assert s.parts == ((0, 1), (1, 2))
 
 
 def test_normalize_canonicalizes_centers():
     # 10 mod 9 = 1 lands inside -2 mod 3 = 1, so one ball remains
     s = CompactSet.from_balls(3, [(10, 2), (-2, 1)])
-    assert s.balls == ((1, 1),)
+    assert s.parts == ((1, 1),)
 
 
 def test_normalize_coalesces_full_families():
@@ -56,7 +56,7 @@ def test_parse_set_dsl():
     s = parse_set("p=2; balls: 0+p^1, 1+p^1")
     assert s == CompactSet.zp(2)
     f = parse_set("p=3; finite: 1, 2/5, -4")
-    assert f.finite == (Fraction(-4), Fraction(2, 5), Fraction(1))
+    assert f.parts == ((Fraction(-4), INF), (Fraction(2, 5), INF), (Fraction(1), INF))
 
 
 @given(st.integers(0, 59).filter(lambda n: not is_prime(n)))
@@ -113,6 +113,12 @@ def test_residues_refine_consistently(s, m):
     assert {r % p ** m for r in deep} == shallow
 
 
+@given(compact_sets(), st.integers(0, 4))
+def test_count_residues_matches_residues(s, m):
+    # the closed form counts points and balls alike
+    assert count_residues(s, m) == len(residues(s, m))
+
+
 @pytest.mark.parametrize("balls", [[(0, -1)], [(0, 1.5)], [("0", 1)], [(0, True)]])
 def test_ball_fields_must_be_integers_with_radius_at_least_zero(balls):
     with pytest.raises(ValueError):
@@ -125,6 +131,10 @@ def test_ball_fields_must_be_integers_with_radius_at_least_zero(balls):
     {"p": 2, "balls": [{"center": "1", "k": 1}]},
     {"p": 3, "finite": [{"num": "1", "den": 2}]},
     {"p": 3, "finite": [{"num": 1, "den": 0}]},
+    # JSON's Infinity reads as a float radius; only a point has radius INF
+    {"p": 2, "balls": [{"center": 5, "k": float("inf")}]},
+    {"p": 2, "balls": [{"center": 5, "k": float("-inf")}]},
+    {"p": 2, "balls": [{"center": 5, "k": float("nan")}]},
 ])
 def test_set_from_json_rejects_non_integer_fields(obj):
     with pytest.raises(ValueError):
