@@ -2,9 +2,10 @@
 
 Untracked components are uniform: an adelic point carries one rational value
 for every untracked prime, and the canonical ordering uses the diagonal
-sequence 0, 1, 2, ... there, which is simultaneously a p-ordering of Z_p for
-every prime.  Only the finitely many exception primes where a step product
-fails to be a unit are ever materialized.
+sequence 0, 1, 2, ... there.  Its step valuations and exception primes are
+those of the set's default (``AdelicSet.untracked_w``, ``untracked_primes``),
+so only the finitely many primes where a step product fails to be a unit are
+ever materialized.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .globalbasis import _prime_factors
 from .ordering import POrdering, p_ordering
 from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
 from .polys import RatPoly
-from .sets import FULL, MAX_EXPONENT, PZP, AdelicSet, CompactSet
-from .utils import is_prime, primes_up_to, strip_primes, v_of_factorial
+from .sets import FULL, MAX_EXPONENT, AdelicSet, CompactSet
+from .utils import is_prime, strip_primes
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,7 @@ class AdelicOrdering:
         """Step valuation of the p-component at index n."""
         if p in self.local:
             return self.local[p].w[n]
-        if self.set.default == FULL:
-            return v_of_factorial(n, p)
-        raise NoAdelicOrdering("no ordering data for untracked pZ_p components")
+        return self.set.untracked_w(p, n)
 
     def point_value(self, p: int, n: int) -> Rat:
         if p in self.local:
@@ -78,10 +77,11 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
         n_prec = DEFAULT_PRECISION
     if length < 1:
         raise ValueError("length must be >= 1")
-    if a.default == PZP and length >= 2:
+    top = length - 1
+    untracked = a.untracked_primes(top)
+    if untracked is None:
         raise NoAdelicOrdering(
             "pZ_p default gives step valuation >= 1 at every untracked prime")
-    top = length - 1
     local = {p: p_ordering(comp, top) for p, comp in a.tracked.items()}
     points = [AdelicPoint(tracked={p: PAdicInt(p, residue(o.points[n], p ** n_prec), n_prec)
                                    for p, o in local.items()},
@@ -89,7 +89,7 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
               for n in range(length)]
     exceptions = []
     for n in range(length):
-        exc = {p for p in primes_up_to(n) if p not in a.tracked}
+        exc = {p for p in untracked if p <= n}
         exc.update(p for p in local if local[p].w[n] > 0)
         exceptions.append(tuple(sorted(exc)))
     return AdelicOrdering(set=a, points=tuple(points), local=local,
@@ -104,8 +104,7 @@ def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
     for k in range(g.degree + 1):
         for p in covered:
             f_p = g.component(p)
-            x = o.point_value(p, k) if p in o.local else Fraction(k)
-            if valp(f_p(x), p) < 0:
+            if valp(f_p(o.point_value(p, k)), p) < 0:
                 return False
         if strip_primes(g.default(Fraction(k)).denominator, covered) > 1:
             return False  # non-integral at an untracked prime

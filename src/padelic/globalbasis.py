@@ -1,10 +1,10 @@
 """Characteristic modules, coefficientwise CRT, and global regular bases.
 
 The basis is built in integers, one degree n at a time.  The primes with
-w_p(n) > 0 are those of the characteristic ideal: the primes whose component
-meets at most n classes mod p, since a p-ordering takes a new class at each
-step while one is left.  Each gives its lift h_n, integer numerators over
-p^w(n); ``crt_combine`` glues the lifts modulo p into F / D, D = prod_p
+w_p(n) > 0 are those of the characteristic ideal: the tracked primes whose
+component meets at most n classes mod p (a p-ordering takes a new class at
+each step while one is left) and ``AdelicSet.untracked_primes``.  Each gives
+its lift h_n, integer numerators over p^w(n); ``crt_combine`` glues the lifts modulo p into F / D, D = prod_p
 p^w_p(n), and a Bezout step on the top numerator makes the leading
 coefficient exactly 1/D.  Only the finished polynomial becomes a
 ``RatPoly``.  One ``POrdering`` per prime serves every degree of a call.
@@ -30,8 +30,8 @@ from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
 from .padic import valp
 from .polys import RatPoly, horner
-from .sets import FULL, PZP, AdelicSet, CompactSet
-from .utils import primes_up_to, strip_primes, v_of_factorial
+from .sets import AdelicSet
+from .utils import strip_primes
 
 #: Largest trial divisor of ``_prime_factors``: a number whose part left after
 #: removing the factors up to this bound exceeds its square is refused.
@@ -74,16 +74,6 @@ class _Locals(dict):
         return out
 
 
-def _component_w(a: AdelicSet, p: int, n: int, local: _Locals) -> int:
-    """w_p(n) of the component at p; Legendre's formula for an untracked Z_p."""
-    if p not in a.tracked and a.default == FULL:
-        return v_of_factorial(n, p)
-    size = a.component(p).size()
-    if size <= n:
-        raise SetTooSmall(f"component at {p} has {size} elements, degree {n} needs more")
-    return local[p].extend(n).w[n]
-
-
 def char_ideal(a: AdelicSet, n: int) -> CharIdeal:
     """The degree-n characteristic module of the set, as a factored fractional ideal."""
     if n < 0:
@@ -92,18 +82,17 @@ def char_ideal(a: AdelicSet, n: int) -> CharIdeal:
 
 
 def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
-    if a.default == PZP and n >= 1:
+    untracked = a.untracked_primes(n)
+    if untracked is None:
         return CharIdeal(degree=n, witness=(
             "every untracked prime contributes w_p(%d) >= 1 on pZ_p" % n))
-    primes = set(a.tracked)
-    if a.default == FULL:
-        primes.update(primes_up_to(n))
-    factored = {}
-    for p in sorted(primes):
-        w = _component_w(a, p, n, local)
-        if w:
-            factored[p] = w
-    return CharIdeal(degree=n, factored=factored)
+    factored = {p: a.untracked_w(p, n) for p in untracked}
+    for p in sorted(a.tracked):
+        size = a.tracked[p].size()
+        if size <= n:
+            raise SetTooSmall(f"component at {p} has {size} elements, degree {n} needs more")
+        factored[p] = local[p].extend(n).w[n]
+    return CharIdeal(degree=n, factored={p: w for p, w in sorted(factored.items()) if w})
 
 
 def crt_combine(parts: Sequence[Tuple[int, int, int, Sequence[int]]]) -> Tuple[int, List[int]]:
@@ -190,14 +179,14 @@ def global_membership(f: RatPoly, a: AdelicSet) -> bool:
     for p, comp in a.tracked.items():
         if not local_membership(f, comp):
             return False
-    if a.default == FULL:
+    if not a.shift:
         den, num = f.integer_form()
         if strip_primes(den, a.tracked) == 1:
             return True
         values = (horner(num, x) for x in range(len(num)))  # F(0..deg)
         return strip_primes(den // gcd(den, *values), a.tracked) == 1
     for p in _prime_factors(f.denominator()) - set(a.tracked):
-        if not local_membership(f, CompactSet.pzp(p)):
+        if not local_membership(f, a.component(p)):
             return False
     return True
 

@@ -3,21 +3,23 @@
 A ``CompactSet`` is one sorted tuple of parts (centre, radius): a ball
 c + p^k Z_p has an integer centre, and a point x is the part (x, INF).  An
 ``AdelicSet`` tracks finitely many primes explicitly and fills in every other
-prime with one of two symbolic defaults: all of Z_p, or pZ_p.
+prime p with a symbolic default, the ball p^s Z_p: Z_p (s = 0) or pZ_p (s = 1).
+Its p-ordering is a_n = p^s n (Bhargava, J. reine angew. Math. 490 (1997)).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptySet
 from .padic import INF, Rat, residue, valp
-from .utils import is_prime
+from .utils import is_prime, primes_up_to, v_of_factorial
 
-#: Symbolic default families for untracked primes.
+#: Symbolic default families for untracked primes: the shift s of p^s Z_p.
 FULL = "Zp"
 PZP = "pZp"
+SHIFTS = {FULL: 0, PZP: 1}
 
 #: Most balls or points a set may be given with.  The ordering recurses
 #: once per split, so many nested balls or points would exhaust the
@@ -48,14 +50,6 @@ class CompactSet:
     @classmethod
     def from_finite(cls, p: int, elems: Sequence[Rat]) -> "CompactSet":
         return normalize(cls(p, tuple((Fraction(x), INF) for x in elems)))
-
-    @classmethod
-    def zp(cls, p: int) -> "CompactSet":
-        return cls(p, ((0, 0),))
-
-    @classmethod
-    def pzp(cls, p: int) -> "CompactSet":
-        return cls(p, ((0, 1),))
 
     def size(self):
         """The number of elements; INF once the set has a ball."""
@@ -151,16 +145,32 @@ class AdelicSet:
     default: str = FULL
 
     def __post_init__(self):
-        if self.default not in (FULL, PZP):
+        # a JSON default may be any value, hashable or not
+        if not isinstance(self.default, str) or self.default not in SHIFTS:
             raise ValueError(f"unknown default family {self.default!r}")
         for p, comp in self.tracked.items():
             if comp.prime != p:
                 raise ValueError(f"component at {p} built for prime {comp.prime}")
 
+    @property
+    def shift(self) -> int:
+        """s of the ball p^s Z_p at every untracked prime."""
+        return SHIFTS[self.default]
+
     def component(self, p: int) -> CompactSet:
         if p in self.tracked:
             return self.tracked[p]
-        return CompactSet.zp(p) if self.default == FULL else CompactSet.pzp(p)
+        return CompactSet(p, ((0, self.shift),))
+
+    def untracked_w(self, p: int, n: int) -> int:
+        """w_p(n) of the default ball at an untracked p: s n + v_p(n!)."""
+        return self.shift * n + v_of_factorial(n, p)
+
+    def untracked_primes(self, n: int) -> Optional[List[int]]:
+        """The untracked primes with w_p(n) > 0, or None for all of them."""
+        if self.shift and n:
+            return None
+        return [p for p in primes_up_to(n) if p not in self.tracked]
 
 
 # ---------------------------------------------------------------------------

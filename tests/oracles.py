@@ -25,6 +25,16 @@ from padelic.sets import FULL, PZP, AdelicSet, CompactSet, count_residues, resid
 from padelic.utils import primes_up_to, strip_primes, v_of_factorial
 
 
+def zp(p: int) -> CompactSet:
+    """All of Z_p, the ball 0 + p^0 Z_p."""
+    return CompactSet.from_balls(p, [(0, 0)])
+
+
+def pzp(p: int) -> CompactSet:
+    """The ball pZ_p."""
+    return CompactSet.from_balls(p, [(0, 1)])
+
+
 def certify_by_differences(s: MahlerSeries, phi: StepFunction) -> bool:
     """The forward-difference certificate: every Mahler coefficient of
     phi(c) - S(c + p^d t), t = 0..top, vanishes mod p^N on each class c mod p^d."""
@@ -159,7 +169,7 @@ def membership_by_factoring(f: RatPoly, a: AdelicSet) -> bool:
     for p in trial_division_primes(f.denominator()) - set(a.tracked):
         if a.default == FULL and min_valuation_on_zp(f, p) < 0:
             return False
-        if a.default == PZP and not local_membership(f, CompactSet.pzp(p)):
+        if a.default == PZP and not local_membership(f, pzp(p)):
             return False
     return True
 

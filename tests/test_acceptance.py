@@ -24,7 +24,7 @@ from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
 from padelic.utils import v_of_factorial
 
-from oracles import min_valuation_on_zp
+from oracles import min_valuation_on_zp, zp
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -156,7 +156,7 @@ def test_criterion_04_mahler_roundtrip():
     while count < 100:
         p = rng.choice([2, 3])
         m = rng.randrange(4)
-        dom = CompactSet.zp(p) if rng.random() < 0.5 else _random_ball_set(rng, p)
+        dom = zp(p) if rng.random() < 0.5 else _random_ball_set(rng, p)
         table = {r: rng.randrange(p ** 6) for r in residues(dom, m)}
         phi = StepFunction(p, dom, m, table, 6)
         s = expand(phi, 6)
@@ -244,9 +244,9 @@ def test_criterion_08_simultaneous_approximation():
     t0 = time.time()
     rng = random.Random(808)
     for i in range(20):
-        phi2 = StepFunction(2, CompactSet.zp(2), 3,
+        phi2 = StepFunction(2, zp(2), 3,
                             {r: rng.randrange(2 ** 6) for r in range(8)}, 6)
-        phi3 = StepFunction(3, CompactSet.zp(3), 2,
+        phi3 = StepFunction(3, zp(3), 2,
                             {r: rng.randrange(3 ** 6) for r in range(9)}, 6)
         t1 = time.time()
         cert = approximate(

@@ -12,9 +12,9 @@ from padelic.adelic import (AdelicPoly, adelic_membership, adelic_ordering,
 from padelic.errors import NoAdelicOrdering
 from padelic.globalbasis import regular_basis
 from padelic.polys import RatPoly
-from padelic.sets import FULL, PZP, AdelicSet, CompactSet
+from padelic.sets import FULL, PZP, AdelicSet
 
-from oracles import adelic_membership_by_factoring
+from oracles import adelic_membership_by_factoring, pzp, zp
 from test_globalbasis import random_binomial_poly
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
@@ -35,7 +35,7 @@ def test_exception_lists():
 
 
 def test_exception_lists_with_tracked_pzp():
-    a = AdelicSet(tracked={2: CompactSet.pzp(2)}, default=FULL)
+    a = AdelicSet(tracked={2: pzp(2)}, default=FULL)
     o = adelic_ordering(a, 5)
     # w_2 on 2Z_2 is [0,1,3,4,7]: positive from index 1 on
     for n in range(1, 5):
@@ -52,7 +52,7 @@ def test_pzp_default_has_no_ordering():
 
 
 def test_basis_transfer_from_global():
-    a = AdelicSet(tracked={2: CompactSet.pzp(2), 3: CompactSet.zp(3)}, default=FULL)
+    a = AdelicSet(tracked={2: pzp(2), 3: zp(3)}, default=FULL)
     fam = regular_basis(a, 5)
     o = adelic_ordering(a, 8)
     for f in fam.polys:
@@ -90,7 +90,7 @@ def test_scale_into_z_rejects_composite_key(p):
 @settings(max_examples=60, deadline=None)
 def test_adelic_membership_matches_factoring_oracle(seed):
     rng = random.Random(seed)
-    a = AdelicSet(tracked={p: CompactSet.zp(p) for p in rng.sample([2, 3], rng.randrange(3))},
+    a = AdelicSet(tracked={p: zp(p) for p in rng.sample([2, 3], rng.randrange(3))},
                   default=FULL)
     f = random_binomial_poly(rng, [2, 3, 5], 10 ** 6)
     g = AdelicPoly(degree=max(f.degree(), 0),

@@ -3,25 +3,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padelic.approx import ApproxRequest, _build, _newton_sum, _verify, approximate
-from padelic.globalbasis import global_membership
+from padelic.globalbasis import global_membership, regular_basis
 from padelic.mahler import MahlerSeries, StepFunction, expand
 from padelic.ordering import p_ordering
 from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
 
-from oracles import partial_sum_by_basis_rational, verify_by_differences
+from oracles import partial_sum_by_basis_rational, poly_sum, verify_by_differences, zp
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
 
 def step(p, m, table, n_prec=6):
-    return StepFunction(p, CompactSet.zp(p), m, table, n_prec)
+    return StepFunction(p, zp(p), m, table, n_prec)
 
 
 def test_empty_targets_gives_zero():
@@ -83,6 +84,31 @@ def test_request_validation():
         ApproxRequest(set=ZHAT, targets={2: (phi, 9)})  # k beyond table digits
 
 
+def test_approx_degree_is_least():
+    # an integer-valued f of degree < L = cert.degree is sum c_n f_n over the
+    # regular basis with integer c_n, and its closeness at p^k depends on the
+    # c_n mod p^k alone; so no c_n in [0, p^k) may pass the closeness check
+    checked = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        p, k, m = rng.choice([2, 3]), rng.randrange(1, 3), rng.randrange(0, 3)
+        dom = zp(p) if rng.random() < 0.5 else CompactSet.from_balls(p, [(rng.randrange(p), 1)])
+        table = {c: rng.randrange(p ** k) for c in residues(dom, m)}
+        r = ApproxRequest(set=AdelicSet(tracked={p: dom}, default=FULL),
+                          targets={p: (StepFunction(p, dom, m, table, k), k)})
+        cert = approximate(r)
+        assert verify_by_differences(cert.poly, r) is None
+        top = cert.degree
+        if top < 0 or p ** (k * top) > 1 << 10:
+            continue
+        basis = regular_basis(r.set, top - 1).polys if top else ()
+        for cs in product(range(p ** k), repeat=top):
+            f = poly_sum(b.scale(c) for b, c in zip(basis, cs))
+            assert verify_by_differences(f, r) is not None, (seed, cs)
+        checked.append(top)
+    assert len(checked) >= 30 and max(checked) >= 5, checked
+
+
 def test_monotone_in_k():
     phi2 = step(2, 2, {r: (3 * r + 1) % 16 for r in range(4)}, 4)
     for k in (1, 2, 3):
@@ -98,7 +124,7 @@ def test_monotone_in_k():
 
 def _domain(p: int, shape: str, rng: random.Random) -> CompactSet:
     if shape == "zp":
-        return CompactSet.zp(p)
+        return zp(p)
     if shape == "balls":
         k = rng.randrange(1, 3)
         centres = rng.sample(range(p ** k), rng.randrange(1, p ** k))

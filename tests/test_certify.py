@@ -24,7 +24,7 @@ from padelic.padic import residue, valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
-from oracles import certify_by_differences, first_miss_all_points
+from oracles import certify_by_differences, first_miss_all_points, zp
 
 
 def _series(s: MahlerSeries, coeffs) -> MahlerSeries:
@@ -33,7 +33,7 @@ def _series(s: MahlerSeries, coeffs) -> MahlerSeries:
 
 def _domain(p: int, shape: str, rng: random.Random) -> CompactSet:
     if shape == "zp":
-        return CompactSet.zp(p)
+        return zp(p)
     if shape == "balls":
         k = rng.randrange(1, 3)
         centres = rng.sample(range(p ** k), rng.randrange(1, p ** k))
@@ -71,7 +71,7 @@ def test_pointwise_certificate_matches_difference_table(p, shape, n_prec, seed):
 def test_certificate_rejects_a_prefix_that_agrees_on_the_ordering_points():
     # the first coefficients interpolate phi at a_0..a_top, so only points
     # beyond the ordering prefix can reject the truncation
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = StepFunction(2, dom, 2, {0: 1, 1: 6, 2: 3, 3: 0}, 4)
     full = expand(phi, 4)
     for n in range(1, full.length()):
@@ -136,7 +136,7 @@ def test_first_miss_matches_all_points(p, radius, lift, n_prec, form, seed):
         centres = rng.sample(range(p), rng.randrange(1, p))
         dom = CompactSet.from_balls(p, [(c, 1) for c in centres])
     else:
-        dom = CompactSet.zp(p)
+        dom = zp(p)
     table = {r: rng.randrange(p ** n_prec) for r in residues(dom, m)}
     phi = StepFunction(p, dom, m, table, n_prec)
     full = expand(phi, n_prec)
@@ -174,7 +174,7 @@ def test_first_miss_matches_all_points(p, radius, lift, n_prec, form, seed):
 
 def test_first_miss_evaluates_ceil_m_over_d_points_per_class():
     rng = random.Random(5)
-    dom = CompactSet.zp(3)
+    dom = zp(3)
     table = {r: rng.randrange(3 ** 4) for r in residues(dom, 3)}
     phi = StepFunction(3, dom, 3, table, 4)
     full = expand(phi, 4)

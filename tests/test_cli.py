@@ -412,6 +412,28 @@ def test_approx_request_with_integer_fields_still_runs(tmp_path, capsys):
     assert code == 0 and json.loads(out)["poly"] == "x"
 
 
+@pytest.mark.parametrize("verb, default", [
+    ("approx", ["Zp"]),  # unhashable, so a lookup by name raised TypeError
+    ("approx", {"Zp": 1}),
+    ("approx", 0),
+    ("approx", None),
+    ("charideal", "Qp"),
+], ids=["json-list", "json-object", "json-int", "json-null", "dsl-Qp"])
+def test_unknown_default_family_exit_code(tmp_path, capsys, verb, default):
+    if verb == "approx":
+        obj = _approx_request()
+        obj["set"]["default"] = default
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(obj))
+        argv = ["approx", "--request", str(req)]
+    else:
+        argv = ["charideal", "--adelic", f"default={default}", "--degree", "1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": f"unknown default family {default!r}"}
+
+
 def test_expand_integer_fields_are_not_truncated(tmp_path, capsys):
     req = tmp_path / "req.json"
     req.write_text(json.dumps({"p": 2, "set": {"p": 2, "balls": [{"center": 0, "k": 0}]},

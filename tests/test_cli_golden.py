@@ -76,6 +76,15 @@ CASES = {
                                 "default=Zp; p=2; balls: 1+p^2; p=3; finite: 0, 1, 3, 4, 9",
                                 "--length", "5"],
     "scale_mixed": ["scale", "--request", f"{REQ}/scale_mixed.json"],
+    "charideal_pzp_tracked_degree0": ["charideal", "--adelic", "default=pZp; p=2; balls: 1+p^1",
+                                      "--degree", "0"],
+    "basis_pzp_not_fg": ["basis", "--adelic", "default=pZp", "--degree", "2"],
+    "adelic_ordering_pzp_length2": ["adelic-ordering", "--adelic", "default=pZp",
+                                    "--length", "2"],
+    "adelic_ordering_pzp_length1": ["adelic-ordering", "--adelic", "default=pZp; p=3; finite: 0, 1",
+                                    "--length", "1"],
+    "member_pzp_true": ["member", "--poly", "1/3*x^2+1/2*x", "--adelic", "default=pZp"],
+    "member_pzp_false": ["member", "--poly", "1/4*x", "--adelic", "default=pZp; p=3; balls: 0+p^0"],
     "exit2_empty_balls": ["ordering", "--set", "p=2; balls:", "--length", "3"],
     "exit3_close_points": ["ordering", "--set", "p=2; finite: 0, 4096", "--length", "2",
                            "--precision", "4"],

@@ -19,7 +19,7 @@ from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, parse_adelic
 
 from oracles import (crt_combine_by_fractions, membership_by_binomial_lcm,
-                     membership_by_factoring, poly_sum, regular_basis_per_degree)
+                     membership_by_factoring, poly_sum, pzp, regular_basis_per_degree, zp)
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -43,7 +43,7 @@ def test_char_ideal_pzp_not_finitely_generated():
 
 def test_char_ideal_tracked_component():
     # 2Z_2 tracked: w = [0,1,3,4,...], other primes from Legendre
-    a = AdelicSet(tracked={2: CompactSet.pzp(2)}, default=FULL)
+    a = AdelicSet(tracked={2: pzp(2)}, default=FULL)
     ideal = char_ideal(a, 3)
     assert ideal.factored == {2: 4, 3: 1}
 
@@ -134,12 +134,12 @@ def test_regular_basis_binomial_denominators():
 
 
 def test_regular_basis_tracked_pzp():
-    a = AdelicSet(tracked={2: CompactSet.pzp(2)}, default=FULL)
+    a = AdelicSet(tracked={2: pzp(2)}, default=FULL)
     fam = regular_basis(a, 5)
     for n, f in enumerate(fam.polys):
         d = char_ideal(a, n).denominator()
         assert abs(f.lc()) == Fraction(1, d)
-        assert local_membership(f, CompactSet.pzp(2))
+        assert local_membership(f, pzp(2))
         assert global_membership(f, a)
 
 
@@ -152,7 +152,7 @@ def test_global_membership():
     assert global_membership(RatPoly.binomial(6), ZHAT)
     assert not global_membership(RatPoly.make([0, Fraction(1, 2)]), ZHAT)
     # x^2/2 integer-valued when the 2-component is 2Z_2
-    a = AdelicSet(tracked={2: CompactSet.pzp(2)}, default=FULL)
+    a = AdelicSet(tracked={2: pzp(2)}, default=FULL)
     assert global_membership(RatPoly.make([0, 0, Fraction(1, 2)]), a)
 
 
@@ -176,7 +176,7 @@ def random_binomial_poly(rng: random.Random, tracked, max_den: int,
 @settings(max_examples=80, deadline=None)
 def test_global_membership_matches_factoring_oracle(default, seed):
     rng = random.Random(seed)
-    tracked = {p: rng.choice([CompactSet.zp(p), CompactSet.pzp(p),
+    tracked = {p: rng.choice([zp(p), pzp(p),
                               CompactSet.from_balls(p, [(1, 1)])])
                for p in rng.sample([2, 3, 5, 7], rng.randrange(0, 4))}
     a = AdelicSet(tracked=tracked, default=default)
@@ -189,7 +189,7 @@ def test_global_membership_matches_factoring_oracle(default, seed):
 def test_zp_default_membership_matches_binomial_lcm(max_degree, seed):
     # the integer values of F/D against the Fraction binomial coefficients
     rng = random.Random(seed)
-    tracked = {p: rng.choice([CompactSet.pzp(p), CompactSet.from_balls(p, [(1, 1)])])
+    tracked = {p: rng.choice([pzp(p), CompactSet.from_balls(p, [(1, 1)])])
                for p in rng.sample([2, 3, 5, 7], rng.randrange(0, 3))}
     a = AdelicSet(tracked=tracked, default=FULL)
     f = random_binomial_poly(rng, tracked, 10 ** 6, max_degree)

@@ -16,6 +16,8 @@ from padelic.padic import INF, PAdicInt, residue
 from padelic.sets import (FULL, MAX_CLASSES, AdelicSet, CompactSet, count_residues,
                           residues)
 
+from oracles import zp
+
 
 def step(p, domain, m, table, n_prec=6):
     return StepFunction(p, domain, m, table, n_prec)
@@ -24,7 +26,7 @@ def step(p, domain, m, table, n_prec=6):
 def test_x_squared_coefficients_frozen():
     # phi(r) = r^2 mod 64 as a function of r mod 8: finite differences of the
     # value table on 0,1,2,... give [0, 1, 2, 0, 0, 0, 0, 0, 0, 48, ...]
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = step(2, dom, 3, {r: r * r % 64 for r in range(8)})
     s = expand(phi, 6)
     assert s.certified
@@ -32,7 +34,7 @@ def test_x_squared_coefficients_frozen():
 
 
 def test_constant_function():
-    dom = CompactSet.zp(3)
+    dom = zp(3)
     phi = step(3, dom, 0, {0: 7}, 4)
     s = expand(phi, 4)
     assert s.certified and s.coeffs[0] == 7
@@ -51,7 +53,7 @@ def test_evaluate_matches_table():
 
 
 def test_evaluate_truncated_argument_propagates_precision():
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = step(2, dom, 2, {r: (r * 3 + 1) % 64 for r in range(4)})
     s = expand(phi, 6)
     x = PAdicInt(2, 5, 20)
@@ -64,12 +66,12 @@ def test_evaluate_truncated_argument_propagates_precision():
 
 def test_step_function_prime_must_match_domain():
     with pytest.raises(ValueError, match="domain"):
-        StepFunction(3, CompactSet.zp(2), 1, {0: 0, 1: 1}, 4)
+        StepFunction(3, zp(2), 1, {0: 0, 1: 1}, 4)
 
 
 def test_certificate_class_count_is_capped():
     # the cap counts classes mod 2^d, d the deepest radius, without listing them
-    assert count_residues(CompactSet.zp(2), 16) == MAX_CLASSES
+    assert count_residues(zp(2), 16) == MAX_CLASSES
     over = CompactSet.from_balls(2, [(0, 1), (1, 17)])
     assert count_residues(over, 17) == MAX_CLASSES + 1
     with pytest.raises(ValueError, match="classes"):
@@ -87,7 +89,7 @@ def test_evaluate_rational_argument_in_ball_domain():
 
 def test_recursion_equals_triangular_solve():
     random.seed(11)
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = step(2, dom, 2, {r: random.randrange(64) for r in range(4)})
     s = expand(phi, 6)
     basis = [basis_rational(s.ordering, n) for n in range(s.length())]
@@ -95,7 +97,7 @@ def test_recursion_equals_triangular_solve():
 
 
 def test_expand_in_basis_rejects_irregular():
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = step(2, dom, 1, {0: 1, 1: 2}, 4)
     s = expand(phi, 4)
     from padelic.polys import RatPoly
@@ -105,7 +107,7 @@ def test_expand_in_basis_rejects_irregular():
 
 
 def test_sup_norm_identity_requires_certificate():
-    dom = CompactSet.zp(2)
+    dom = zp(2)
     phi = step(2, dom, 1, {0: 4, 1: 12}, 4)
     s = expand(phi, 4)
     lo, hi = sup_norm_data(s, phi)
@@ -116,7 +118,7 @@ def test_sup_norm_identity_requires_certificate():
 
 
 def test_sup_norm_zero_function_is_inf():
-    dom = CompactSet.zp(3)
+    dom = zp(3)
     phi = step(3, dom, 1, {0: 0, 1: 0, 2: 0}, 4)
     s = expand(phi, 4)
     lo, hi = sup_norm_data(s, phi)
@@ -142,7 +144,7 @@ def test_expand_runs_one_ordering_search(monkeypatch):
         return search(s)
     monkeypatch.setattr(padelic.ordering, "_ordering_steps", counted)
     rng = random.Random(1)
-    dom = CompactSet.zp(3)
+    dom = zp(3)
     s = expand(step(3, dom, 3, {r: rng.randrange(9) for r in residues(dom, 3)}, 2), 2)
     assert s.length() == 72 and searches == [3]
 
@@ -160,7 +162,7 @@ def test_expand_adelic_orders_a_finite_component_at_its_own_precision():
 @settings(max_examples=25, deadline=None)
 def test_random_roundtrip(p, m, seed):
     rng = random.Random(seed)
-    dom = CompactSet.zp(p)
+    dom = zp(p)
     phi = step(p, dom, m, {r: rng.randrange(p ** 5) for r in residues(dom, m)}, 5)
     s = expand(phi, 5)
     assert s.certified

@@ -18,7 +18,7 @@ from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
 from oracles import (greedy_ball_ordering, greedy_finite_ordering, membership_at_points,
-                     rational_lift_by_fractions)
+                     pzp, rational_lift_by_fractions, zp)
 
 
 def oracle_w_finite(elems, p):
@@ -53,7 +53,7 @@ def oracle_w_balls(balls, p, length, depth):
 
 def test_zp_ordering_is_legendre():
     for p in (2, 3, 5):
-        o = p_ordering(CompactSet.zp(p), 10)
+        o = p_ordering(zp(p), 10)
         assert o.points == tuple(range(11))
         assert list(o.w) == [valp(math.factorial(n), p) for n in range(11)]
 
@@ -65,7 +65,7 @@ def test_two_balls_frozen_oracle():
 
 
 def test_pzp_ordering():
-    o = p_ordering(CompactSet.pzp(2), 6)
+    o = p_ordering(pzp(2), 6)
     assert o.points == (0, 2, 4, 6, 8, 10, 12)
     assert list(o.w) == [0, 1, 3, 4, 7, 8, 10]
 
@@ -91,6 +91,27 @@ def test_finite_matches_exhaustive_oracle(p):
 def test_ball_matches_exhaustive_oracle(p, balls):
     o = p_ordering(CompactSet.from_balls(p, balls), 6)
     assert list(o.w) == oracle_w_balls(balls, p, 6, 7)
+
+
+@given(st.sampled_from([2, 3, 5]), st.booleans(),
+       st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3), st.sampled_from([1, 7, 11])),
+                min_size=1, max_size=4),
+       st.integers(-40, 40), st.sampled_from([1, -1, 2, 3, 5, 6, 7, 10, 25]))
+@settings(max_examples=60, deadline=None)
+def test_affine_image_adds_n_vp_b_to_w(p, finite, draws, t, b):
+    # x -> t + b x multiplies every difference by b, so
+    # w_(t+bE)(n) = w_E(n) + n v_p(b); a ball c + p^k Z_p maps onto the
+    # ball t + b c + p^(k + v_p(b)) Z_p
+    v = valp(b, p)
+    if finite:
+        s = CompactSet.from_finite(p, [Fraction(c, d) for c, _, d in draws])
+        image = CompactSet.from_finite(p, [t + b * x for x, _ in s.parts])
+    else:
+        s = CompactSet.from_balls(p, [(c, k) for c, k, _ in draws])
+        image = CompactSet.from_balls(p, [(t + b * c, k + v) for c, k in s.parts])
+    top = min(10, s.size() - 1)
+    w = p_ordering(s, top).w
+    assert list(p_ordering(image, top).w) == [w[n] + n * v for n in range(top + 1)]
 
 
 def test_length_exceeds_set():
@@ -161,7 +182,7 @@ def test_w_is_ordering_invariant():
 
 
 def test_basis_rational_is_triangular():
-    o = p_ordering(CompactSet.zp(3), 5)
+    o = p_ordering(zp(3), 5)
     for n in range(6):
         f = basis_rational(o, n)
         assert f(Fraction(o.points[n])) == 1
@@ -178,14 +199,14 @@ def test_basis_values_are_integral():
 
 
 def test_product_poly_monic():
-    o = p_ordering(CompactSet.zp(2), 4)
+    o = p_ordering(zp(2), 4)
     g = product_poly(o, 3)
     assert g.lc() == 1 and g.degree() == 3
     assert g(Fraction(o.points[0])) == 0
 
 
 def test_rational_lift_properties():
-    o = p_ordering(CompactSet.pzp(2), 4)
+    o = p_ordering(pzp(2), 4)
     for n in range(1, 5):
         lift = rational_lift(o, n)
         w = o.w[n]
@@ -203,18 +224,18 @@ def test_rational_lift_properties():
 
 
 def test_local_membership():
-    s = CompactSet.zp(2)
+    s = zp(2)
     assert local_membership(RatPoly.binomial(4), s)
     assert not local_membership(RatPoly.make([Fraction(1, 2)]), s)
     # x^2/2 is integral on 2Z_2 but not on Z_2
     f = RatPoly.make([0, 0, Fraction(1, 2)])
-    assert local_membership(f, CompactSet.pzp(2))
+    assert local_membership(f, pzp(2))
     assert not local_membership(f, s)
 
 
 def _membership_domain(p: int, shape: str, rng: random.Random) -> CompactSet:
     if shape == "zp":
-        return CompactSet.zp(p)
+        return zp(p)
     if shape == "balls":
         k = rng.randrange(1, 4)
         return CompactSet.from_balls(

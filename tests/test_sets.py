@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padelic.errors import EmptySet
+from padelic.ordering import p_ordering
 from padelic.padic import INF, valp
 from padelic.sets import (FULL, PZP, AdelicSet, CompactSet, count_residues,
                           normalize, parse_adelic, parse_set,
                           residues, set_from_json, set_to_json,
                           adelic_from_json, adelic_to_json)
-from padelic.utils import is_prime
+from padelic.utils import is_prime, primes_up_to
+
+from oracles import pzp, zp
 
 
 def test_normalize_merges_contained_balls():
@@ -28,7 +31,7 @@ def test_normalize_canonicalizes_centers():
 
 def test_normalize_coalesces_full_families():
     s = CompactSet.from_balls(2, [(0, 2), (2, 2), (1, 1)])
-    assert s == CompactSet.zp(2)
+    assert s == zp(2)
 
 
 def test_empty_set_rejected():
@@ -37,8 +40,8 @@ def test_empty_set_rejected():
 
 
 def test_residues_of_zp():
-    assert residues(CompactSet.zp(2), 3) == {0, 1, 2, 3, 4, 5, 6, 7}
-    assert residues(CompactSet.pzp(2), 3) == {0, 2, 4, 6}
+    assert residues(zp(2), 3) == {0, 1, 2, 3, 4, 5, 6, 7}
+    assert residues(pzp(2), 3) == {0, 2, 4, 6}
 
 
 def test_residues_of_ball_union():
@@ -47,14 +50,14 @@ def test_residues_of_ball_union():
 
 
 def test_count_mod_p():
-    assert count_residues(CompactSet.zp(5), 1) == 5
-    assert count_residues(CompactSet.pzp(5), 1) == 1
+    assert count_residues(zp(5), 1) == 5
+    assert count_residues(pzp(5), 1) == 1
     assert count_residues(CompactSet.from_finite(3, [1, 4, 2]), 1) == 2  # 1=4 mod 3
 
 
 def test_parse_set_dsl():
     s = parse_set("p=2; balls: 0+p^1, 1+p^1")
-    assert s == CompactSet.zp(2)
+    assert s == zp(2)
     f = parse_set("p=3; finite: 1, 2/5, -4")
     assert f.parts == ((Fraction(-4), INF), (Fraction(2, 5), INF), (Fraction(1), INF))
 
@@ -73,9 +76,30 @@ def test_parse_adelic_dsl():
     a = parse_adelic("default=Zp; p=2; balls: 0+p^2; p=3; finite: 1, 2")
     assert a.default == FULL
     assert set(a.tracked) == {2, 3}
-    assert a.component(5) == CompactSet.zp(5)
+    assert a.component(5) == zp(5)
     b = parse_adelic("default=pZp")
-    assert b.component(7) == CompactSet.pzp(7)
+    assert b.component(7) == pzp(7)
+
+
+@pytest.mark.parametrize("default", [FULL, PZP])
+def test_untracked_w_is_the_default_ball_p_ordering(default):
+    # the closed form s n + v_p(n!) against Bhargava's recursion
+    a = AdelicSet(default=default)
+    for p in primes_up_to(49):
+        w = p_ordering(a.component(p), 59).w
+        assert tuple(a.untracked_w(p, n) for n in range(60)) == w
+
+
+@pytest.mark.parametrize("default", [FULL, PZP])
+def test_untracked_primes_are_those_of_positive_w(default):
+    a = AdelicSet(tracked={3: pzp(3)}, default=default)
+    w = {p: p_ordering(a.component(p), 59).w for p in primes_up_to(60) if p != 3}
+    for n in range(60):
+        positive = [p for p in sorted(w) if w[p][n] > 0]
+        if a.shift and n:  # then every untracked prime is positive
+            assert a.untracked_primes(n) is None and positive == sorted(w)
+        else:
+            assert a.untracked_primes(n) == positive
 
 
 @st.composite
