@@ -19,8 +19,8 @@ from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
 from .padic import DEFAULT_PRECISION
 from .polys import MAX_POLY_DEGREE, RatPoly, format_poly, parse_poly
-from .sets import (MAX_EXPONENT, AdelicSet, CompactSet, _json_int, _json_list, _json_object,
-                   adelic_from_json, adelic_to_json, parse_adelic, parse_set,
+from .sets import (MAX_EXPONENT, AdelicSet, CompactSet, _int_keys, _json_int, _json_list,
+                   _json_object, adelic_from_json, adelic_to_json, parse_adelic, parse_set,
                    rational_from_json, set_from_json)
 
 DIAGNOSTIC_ERRORS = (PrecisionExhausted, CertificateFailed, NotCertified)
@@ -46,8 +46,8 @@ def _step_fn_from_json(obj: Dict[str, Any]) -> StepFunction:
     obj = _json_object(obj, "step function")
     domain = set_from_json(obj["set"])
     n_prec = _json_int(obj.get("N", DEFAULT_PRECISION), "N")
-    table = {int(k): _json_int(v, f"table value at {k}")
-             for k, v in _json_object(obj["table"], "table").items()}
+    table = {k: _json_int(v, f"table value at {k}")
+             for k, v in _int_keys(obj["table"], "table").items()}
     return StepFunction(prime=_json_int(obj["p"], "p"), domain=domain,
                         modulus_exp=_json_int(obj["m"], "m"), table=table, precision=n_prec)
 
@@ -101,9 +101,9 @@ def _cmd_approx(args) -> Dict[str, Any]:
     obj = _request_arg(args)
     a = adelic_from_json(obj["set"])
     targets = {}
-    for p, t in _json_object(obj["targets"], "targets").items():
+    for p, t in _int_keys(obj["targets"], "targets").items():
         t = _json_object(t, f"target at {p}")
-        targets[int(p)] = (_step_fn_from_json(t["phi"]), _json_int(t["k"], f"k at {p}"))
+        targets[p] = (_step_fn_from_json(t["phi"]), _json_int(t["k"], f"k at {p}"))
     cert = approximate(ApproxRequest(set=a, targets=targets))
     return {"poly": format_poly(cert.poly),
             "certificate": {"closeness": {str(p): k for p, k in cert.closeness.items()},
@@ -124,13 +124,13 @@ def _cmd_adelic_ordering(args) -> Dict[str, Any]:
 
 def _cmd_scale(args) -> Dict[str, Any]:
     obj = _request_arg(args)
-    components = {int(p): [_scale_ball(b, p) for b in _json_list(balls, f"component at {p}")]
-                  for p, balls in _json_object(obj["components"], "components").items()}
+    components = {p: [_scale_ball(b, p) for b in _json_list(balls, f"component at {p}")]
+                  for p, balls in _int_keys(obj["components"], "components").items()}
     d, scaled = scale_into_z(components)
     return {"d": d, "set": adelic_to_json(scaled)}
 
 
-def _scale_ball(ball: Any, p: str) -> Tuple[Fraction, int]:
+def _scale_ball(ball: Any, p: int) -> Tuple[Fraction, int]:
     """One [centre, radius] pair of a ``scale`` component."""
     if not (isinstance(ball, list) and len(ball) == 2):
         raise ValueError(f"ball {ball!r} at {p} is not a [centre, radius] pair")

@@ -26,16 +26,19 @@ this check with k = N and f = S; ``approx`` checks its combined polynomial
 against each target with that target's k and the polynomial's own
 denominator.
 
-``_certify`` folds S into one integer polynomial.  With
-W = w(top), the exact integer points L a_j of the ordering (L = 1 unless a
-point has a denominator; see ``ordering``), g_k(y) = prod_{j<k}(y - L a_j)
-and u_k the unit part of g_k(L a_k),
+``_fold`` writes a truncated series S = sum_{n<=top} c_n f_n, c_top != 0, as
+one integer polynomial.  With W = w(top), the exact integer points L a_j of the
+ordering (L = 1 unless a point has a denominator; see ``ordering``),
+g_k(y) = prod_{j<k}(y - L a_j) and u_k the unit part of g_k(L a_k), inverted
+modulo p^D,
 
-    H(y) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(y)  mod p^(N + W)
+    F(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(L x)  mod p^(D + W).
 
-satisfies H(L x) = p^W S(x) mod p^(N + W) at every domain point x: there
-p^w(k) divides g_k(L x), so knowing u_k^-1 modulo p^N is enough.  The check
-runs with F(x) = H(L x) and D = p^W: one Horner pass per test point.
+Term k of F - p^W S is a multiple of p^D p^(W - w(k)) g_k(L x) in Z_(p)[x],
+so F = p^W S mod p^D coefficient by coefficient, and F(x) = p^W S(x) mod
+p^(D + W) at every domain point x, where p^w(k) divides g_k(L x).
+``_certify`` checks F / p^W with D = k = N by the second, one Horner pass
+per test point; ``approx`` reads only the first, with D >= k + W.
 
 The integer points, the powers p^w(k) and the u_k^-1 belong to the series'
 ``POrdering``, which builds them on first use and keeps them.  ``expand``
@@ -71,6 +74,8 @@ class StepFunction:
             raise ValueError(f"{self.prime}-adic function on a {self.domain.prime}-adic domain")
         if self.precision < 1:
             raise ValueError("precision counts p-adic digits and must be >= 1")
+        if self.modulus_exp < 0:
+            raise ValueError("m is the exponent of the table's modulus p^m and must be >= 0")
         if max(self.modulus_exp, self.precision) > MAX_EXPONENT:
             raise ValueError(f"m and N are capped at {MAX_EXPONENT}")
         # count before enumerating: a large p has too many residues to list
@@ -155,17 +160,23 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
 
 
 def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
-    """Exact check that the partial sum matches phi to p^-N everywhere.
+    """Exact check that the partial sum matches phi to p^-N everywhere: the
+    fold F / p^W of the module docstring through the test points of
+    ``_first_miss``, one Horner pass modulo p^(N + W) each."""
+    den, num = _fold(s.ordering, s.coeffs, s.precision)
+    return _first_miss(num[::-1], den, phi, s.precision) is None
 
-    The partial sum is folded into the integer polynomial H of the module
-    docstring once; H / p^W then goes through the test points of
-    ``_first_miss``, one Horner pass modulo p^(N + W) each.
-    """
-    top = s.length() - 1
-    o = s.ordering
-    res, pw, uinv = o.basis_tables(top, s.precision)
+
+def _fold(o: POrdering, coeffs: Sequence[int], digits: int) -> Tuple[int, List[int]]:
+    """(p^W, F) of the module docstring with D = digits: F's coefficients
+    lowest degree first, folded up to the last non-zero coefficient c_top,
+    W = w(top); (1, []) when every c_n is 0."""
+    top = max((n for n, c in enumerate(coeffs) if c), default=-1)
+    if top < 0:
+        return 1, []
+    res, pw, uinv = o.basis_tables(top, digits)
     p_w = pw[top]
-    mod = p_w * o.prime ** s.precision
+    mod = p_w * o.prime ** digits
     # H = e_0 + (y - L a_0)(e_1 + (y - L a_1)(e_2 + ...)) with e_k = c_k u_k^-1 p^(W - w_k),
     # multiplied out from the inside into coefficients h, lowest degree first
     h: List[int] = []
@@ -174,10 +185,10 @@ def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
         h = [0] + h  # h <- h * (y - a) + e_k
         for i in range(len(h) - 1):
             h[i] = (h[i] - a * h[i + 1]) % mod
-        h[0] = (h[0] + s.coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
+        h[0] = (h[0] + coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
     if o.scale != 1:  # F(x) = H(L x)
         h = [c * pow(o.scale, i, mod) % mod for i, c in enumerate(h)]
-    return _first_miss(h[::-1], p_w, phi, s.precision) is None
+    return p_w, h
 
 
 def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Optional[str]:
@@ -225,7 +236,9 @@ def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:
 
 
 def sup_norm_data(s: MahlerSeries, phi: StepFunction):
-    """(inf_n v_p(c_n), inf_y v_p(phi(y))), both capped at the precision.
+    """(inf_n v_p(c_n), inf_y v_p(phi(y))) with the c_n and the values of phi
+    both read modulo p^N, N the series' precision; an infimum over residues
+    that are all 0 is INF.
 
     The two infima must agree; a mismatch raises CertificateFailed rather
     than being returned silently.
@@ -233,9 +246,9 @@ def sup_norm_data(s: MahlerSeries, phi: StepFunction):
     if not s.certified:
         raise NotCertified("sup-norm data requires a certified series")
     p = s.ordering.prime
+    small = p ** s.precision
     coeff_inf = min((valp(c, p) for c in s.coeffs if c), default=INF)
-    value_inf = min((valp(v, p) for v in phi.table.values() if v), default=INF)
-    coeff_inf = min(coeff_inf, INF)
+    value_inf = min((valp(v % small, p) for v in phi.table.values() if v % small), default=INF)
     if coeff_inf != value_inf:
         raise CertificateFailed(
             f"sup-norm identity violated: coefficients {coeff_inf}, values {value_inf}")

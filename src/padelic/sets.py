@@ -240,6 +240,18 @@ def _json_object(obj: Any, what: str) -> Dict[str, Any]:
     return obj
 
 
+def _int_keys(obj: Any, what: str) -> Dict[int, Any]:
+    """A JSON object keyed by integers written as strings; keys that name one
+    integer twice, such as "2" and "02", are refused, not overwritten."""
+    out: Dict[int, Any] = {}
+    for key, value in _json_object(obj, what).items():
+        n = int(key)
+        if n in out:
+            raise ValueError(f"{what} names {n} twice")
+        out[n] = value
+    return out
+
+
 def _json_list(obj: Any, what: str) -> List[Any]:
     if not isinstance(obj, list):
         raise ValueError(f"{what} must be a JSON list, got {obj!r}")
@@ -281,6 +293,6 @@ def adelic_to_json(a: AdelicSet) -> dict:
 
 def adelic_from_json(obj: Any) -> AdelicSet:
     obj = _json_object(obj, "adelic set")
-    tracked = _json_object(obj.get("tracked", {}), "tracked")
-    return AdelicSet(tracked={int(p): set_from_json(s) for p, s in tracked.items()},
+    tracked = _int_keys(obj.get("tracked", {}), "tracked")
+    return AdelicSet(tracked={p: set_from_json(s) for p, s in tracked.items()},
                      default=obj.get("default", FULL))

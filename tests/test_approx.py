@@ -8,15 +8,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padelic.approx import ApproxRequest, _build, _newton_sum, _verify, approximate
+from padelic.approx import ApproxRequest, _build, _verify, approximate
+from padelic.errors import CertificateFailed
 from padelic.globalbasis import global_membership, regular_basis
-from padelic.mahler import MahlerSeries, StepFunction, expand
+from padelic.mahler import MahlerSeries, StepFunction, _fold, expand
 from padelic.ordering import p_ordering
-from padelic.padic import valp
+from padelic.padic import INF, valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
 
-from oracles import partial_sum_by_basis_rational, poly_sum, verify_by_differences, zp
+from oracles import (crt_combine_by_fractions, partial_sum_by_basis_rational, poly_sum,
+                     verify_by_differences, zp)
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -134,17 +136,73 @@ def _domain(p: int, shape: str, rng: random.Random) -> CompactSet:
     return CompactSet.from_finite(p, sorted(elems))
 
 
+def _exact(o, coeffs) -> RatPoly:
+    return partial_sum_by_basis_rational(MahlerSeries(ordering=o, coeffs=tuple(coeffs),
+                                                      precision=1))
+
+
+def _sample_points(dom: CompactSet, rng: random.Random):
+    """The points of a finite domain, or a few points of each of its balls."""
+    for c, k in dom.parts:
+        if dom.size() != INF:
+            yield c
+        else:
+            yield from (c + dom.prime ** k * rng.randrange(-50, 50) for _ in range(4))
+
+
 @given(st.sampled_from([2, 3, 5]), st.sampled_from(["zp", "balls", "finite"]),
-       st.integers(0, 10 ** 6))
+       st.integers(1, 8), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_newton_sum_matches_basis_rational_sum(p, shape, seed):
+def test_fold_matches_basis_rational_sum(p, shape, digits, seed):
+    # F = p^W S mod p^D coefficient by coefficient, and mod p^(D + W) at the
+    # domain points, W = w(top) at the last non-zero c_top
     rng = random.Random(seed)
     dom = _domain(p, shape, rng)
     length = rng.randrange(0, min(12, dom.size()))
     o = p_ordering(dom, length)
     coeffs = [rng.choice([0, rng.randrange(p ** 6)]) for _ in range(rng.randrange(length + 2))]
-    series = MahlerSeries(ordering=o, coeffs=tuple(coeffs), precision=6)
-    assert RatPoly.over(*_newton_sum(o, coeffs)) == partial_sum_by_basis_rational(series)
+    den, num = _fold(o, coeffs, digits)
+    exact = _exact(o, coeffs)
+    if not any(coeffs):
+        assert (den, num) == (1, []) and exact == RatPoly.zero()
+        return
+    top = max(n for n, c in enumerate(coeffs) if c)
+    assert den == p ** o.w[top] and len(num) == top + 1
+    for i, c in enumerate(num):
+        e = exact.coeffs[i] if i <= exact.degree() else 0
+        assert valp(c - den * e, p) >= digits
+    f = RatPoly.make(num)
+    for x in _sample_points(dom, rng):
+        assert valp(f(Fraction(x)) - den * exact(Fraction(x)), p) >= digits + o.w[top]
+
+
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 5]),
+                          st.sampled_from(["zp", "balls", "finite"])),
+                min_size=1, max_size=2, unique_by=lambda t: t[0]),
+       st.integers(1, 2), st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_build_matches_fraction_sums(shapes, mult, k_max, seed):
+    # the folds are congruent to the exact partial sums mod p^k_top, and the
+    # CRT answer is unique in [0, prod p^k_top) over any clearing denominator
+    rng = random.Random(seed)
+    tracked, targets = {}, {}
+    for p, shape in shapes:
+        dom = tracked[p] = _domain(p, shape, rng)
+        m = rng.randrange(0, 3 if p < 5 else 2)
+        k = rng.randrange(1, k_max + 1)
+        table = {r: rng.randrange(p ** (2 * k)) for r in residues(dom, m)}
+        targets[p] = (StepFunction(p, dom, m, table, 2 * k), k)
+    r = ApproxRequest(set=AdelicSet(tracked=tracked, default=FULL), targets=targets)
+    k_top = max(k for _, k in targets.values())
+    try:
+        sums = {p: partial_sum_by_basis_rational(expand(phi, min(mult * k, phi.precision)))
+                for p, (phi, k) in targets.items()}
+    except CertificateFailed:
+        with pytest.raises(CertificateFailed):
+            _build(r, mult)
+        return
+    assert _build(r, mult) == crt_combine_by_fractions(
+        [(p, k_top, f) for p, f in sorted(sums.items())])
 
 
 def _candidates(r: ApproxRequest, rng: random.Random):
@@ -154,15 +212,15 @@ def _candidates(r: ApproxRequest, rng: random.Random):
     for p, (phi, k) in r.targets.items():
         series = expand(phi, phi.precision)
         o, coeffs = series.ordering, list(series.coeffs)
-        yield RatPoly.over(*_newton_sum(o, coeffs))
+        yield _exact(o, coeffs)
         for n in range(1, len(coeffs)):
-            yield RatPoly.over(*_newton_sum(o, coeffs[:n]))
+            yield _exact(o, coeffs[:n])
         for _ in range(3):
             bad = list(coeffs)
             i = rng.randrange(len(bad))
             bad[i] = (bad[i] + p ** rng.randrange(phi.precision)) % p ** phi.precision
-            yield RatPoly.over(*_newton_sum(o, bad))
-            yield RatPoly.over(*_newton_sum(o, bad[:rng.randrange(1, len(bad) + 1)]))
+            yield _exact(o, bad)
+            yield _exact(o, bad[:rng.randrange(1, len(bad) + 1)])
 
 
 @given(st.lists(st.tuples(st.sampled_from([2, 3, 5]),
@@ -189,8 +247,8 @@ def test_verify_names_the_same_first_miss():
     r = ApproxRequest(set=AdelicSet(tracked={3: dom}, default=FULL), targets={3: (phi, 2)})
     series = expand(phi, 3)
     for n in range(1, series.length()):
-        f = RatPoly.over(*_newton_sum(series.ordering, series.coeffs[:n]))
+        f = _exact(series.ordering, series.coeffs[:n])
         assert _verify(f, r) == verify_by_differences(f, r)
-    assert _verify(RatPoly.over(*_newton_sum(series.ordering, series.coeffs[:2])), r).startswith(
+    assert _verify(_exact(series.ordering, series.coeffs[:2]), r).startswith(
         "target at 3 misses ball")
     assert _verify(RatPoly.zero(), r) == verify_by_differences(RatPoly.zero(), r) is not None

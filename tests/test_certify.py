@@ -17,14 +17,14 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from padelic import mahler
-from padelic.approx import _newton_sum
 from padelic.mahler import MahlerSeries, StepFunction, _certify, _first_miss, expand
 from padelic.ordering import basis_rational, p_ordering
 from padelic.padic import residue, valp
 from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
-from oracles import certify_by_differences, first_miss_all_points, zp
+from oracles import (certify_by_differences, first_miss_all_points,
+                     partial_sum_by_basis_rational, zp)
 
 
 def _series(s: MahlerSeries, coeffs) -> MahlerSeries:
@@ -146,7 +146,7 @@ def test_first_miss_matches_all_points(p, radius, lift, n_prec, form, seed):
         if form == "certify":
             bases.append(_certify_args(_series(full, full.coeffs[:n]), phi))
         else:
-            den, num = RatPoly.over(*_newton_sum(full.ordering, full.coeffs[:n])).integer_form()
+            den, num = partial_sum_by_basis_rational(_series(full, full.coeffs[:n])).integer_form()
             q = rng.choice([1, p, p * p, 7, 7 * p])
             bases.append(([c * q for c in num], den * q, rng.randrange(1, n_prec + 1)))
     classes = sorted(residues(dom, m))

@@ -552,8 +552,23 @@ _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
                 "N": -1}),  # TypeError from pow
     ("expand", {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 0, "1": 0},
                 "N": 0}),  # a "certified" series of zero digits
+    ("expand", {"p": 2, "set": _BALLS_SET, "m": -1, "table": {"0": 0},
+                "N": 4}),  # TypeError from pow
+    ("approx", {"set": {"default": "Zp"}, "targets": {"2": {"k": 1, "phi": {
+        "p": 2, "set": _BALLS_SET, "m": -1, "table": {"0": 0}, "N": 4}}}}),  # TypeError
+    # two keys naming one integer: the later one silently replaced the earlier
+    ("expand", {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 0, "1": 1, "01": 5},
+                "N": 4}),
+    ("approx", {"set": {"default": "Zp"}, "targets": {
+        "2": {"k": 1, "phi": {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 0, "1": 1},
+                              "N": 4}},
+        "02": {"k": 1, "phi": {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 1, "1": 0},
+                               "N": 4}}}}),
+    ("approx", {"set": {"default": "Zp", "tracked": {"2": _BALLS_SET, "+2": _BALLS_SET}},
+                "targets": {}}),
 ], ids=["set-list", "tracked-list", "set-int", "ball-int", "balls-int", "tracked-set-list",
-        "request-list", "N-negative", "N-zero"])
+        "request-list", "N-negative", "N-zero", "m-negative-expand", "m-negative-approx",
+        "table-key-twice", "targets-key-twice", "tracked-key-twice"])
 def test_request_of_wrong_shape_exit_code(tmp_path, capsys, verb, request_obj):
     req = tmp_path / "req.json"
     req.write_text(json.dumps(request_obj))
@@ -568,8 +583,9 @@ def test_request_of_wrong_shape_exit_code(tmp_path, capsys, verb, request_obj):
     {"2": [["1/2", 1]]},  # string centre was accepted
     {"2": [[{"num": 1.5, "den": 2}, 1]]},  # TypeError traceback
     [["2", [[1, 1]]]],  # AttributeError traceback
+    {"2": [[1, 1]], "02": [[0, 1]]},  # the second silently replaced the first
 ], ids=["radius-float", "centre-float", "centre-string", "centre-num-float",
-        "components-list"])
+        "components-list", "components-key-twice"])
 def test_scale_refuses_inexact_input(tmp_path, capsys, components):
     req = tmp_path / "req.json"
     req.write_text(json.dumps({"components": components}))

@@ -125,6 +125,16 @@ def test_sup_norm_zero_function_is_inf():
     assert lo is INF and hi is INF
 
 
+def test_sup_norm_reads_values_at_the_series_precision():
+    # 16 = 0 mod 2^3: a series expanded to 3 digits has only zero coefficients,
+    # and the values read to 3 digits vanish too; reading 16 whole reported a
+    # violation on a certified series
+    phi = step(2, zp(2), 1, {0: 16, 1: 0}, 6)
+    s = expand(phi, 3)
+    assert s.certified and sup_norm_data(s, phi) == (INF, INF)
+    assert sup_norm_data(expand(phi, 6), phi) == (4, 4)
+
+
 def test_finite_domain_expansion_is_interpolation():
     dom = CompactSet.from_finite(2, [1, 3, 4, 6])
     phi = step(2, dom, 3, {r: (r * r + 1) % 64 for r in residues(dom, 3)})

@@ -18,7 +18,7 @@ from padelic.polys import RatPoly
 from padelic.sets import CompactSet, residues
 
 from oracles import (greedy_ball_ordering, greedy_finite_ordering, membership_at_points,
-                     pzp, rational_lift_by_fractions, zp)
+                     poly_sum, pzp, rational_lift_by_fractions, zp)
 
 
 def oracle_w_finite(elems, p):
@@ -112,6 +112,45 @@ def test_affine_image_adds_n_vp_b_to_w(p, finite, draws, t, b):
     top = min(10, s.size() - 1)
     w = p_ordering(s, top).w
     assert list(p_ordering(image, top).w) == [w[n] + n * v for n in range(top + 1)]
+
+
+def _compose_affine(f: RatPoly, b: Fraction, t: Fraction) -> RatPoly:
+    """f(b x + t), by Horner's rule on coefficient lists, lowest degree first."""
+    out: list = []
+    for c in reversed(f.coeffs):
+        nxt = [Fraction(0)] * (len(out) + 1)
+        for i, a in enumerate(out):
+            nxt[i] += t * a
+            nxt[i + 1] += b * a
+        nxt[0] += c
+        out = nxt
+    return RatPoly.make(out)
+
+
+@given(st.sampled_from([2, 3, 5]), st.booleans(),
+       st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3), st.sampled_from([1, 7, 11])),
+                min_size=1, max_size=4),
+       st.integers(-40, 40), st.sampled_from([1, 11]),
+       st.sampled_from([1, -1, 2, 3, 5, 6, 7, 10, 25, Fraction(4, 7)]), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_affine_image_keeps_integer_valued_polynomials(p, finite, draws, t_num, t_den, b, seed):
+    # f lies in Int(t + bE, Z_p) exactly when f(b x + t) lies in Int(E, Z_p),
+    # b != 0 with v_p(b) >= 0; f is drawn on the image's regular basis with
+    # coefficients that are sometimes not p-integral, so both answers occur
+    rng = random.Random(seed)
+    t, v = Fraction(t_num, t_den), valp(b, p)
+    if finite:
+        s = CompactSet.from_finite(p, [Fraction(c, d) for c, _, d in draws])
+        image = CompactSet.from_finite(p, [t + b * x for x, _ in s.parts])
+    else:
+        s = CompactSet.from_balls(p, [(c, k) for c, k, _ in draws])
+        image = CompactSet.from_balls(
+            p, [(residue(t + b * c, p ** (k + v)), k + v) for c, k in s.parts])
+    o = p_ordering(image, min(4, image.size() - 1))
+    f = poly_sum(basis_rational(o, n).scale(
+        Fraction(rng.randrange(-9, 10), p if rng.random() < 0.15 else 1))
+        for n in range(len(o.points)))
+    assert local_membership(f, image) == local_membership(_compose_affine(f, b, t), s)
 
 
 def test_length_exceeds_set():

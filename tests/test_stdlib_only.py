@@ -1,7 +1,8 @@
-"""padelic depends on the standard library alone.
+"""padelic depends on the standard library alone, and imports only what it reads.
 
 Every absolute import in ``src/padelic`` must name a standard-library module
-at its top level; relative imports stay inside the package.
+at its top level; relative imports stay inside the package.  Every module
+but ``__init__.py``, which re-exports, reads each name it imports.
 """
 from __future__ import annotations
 
@@ -27,3 +28,21 @@ def test_imports_are_stdlib_only(path):
     outside = {name for name in _absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _imported_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = set(_imported_names(tree)) - read
+    assert not unused, f"{path.name} imports {sorted(unused)} and never reads them"
