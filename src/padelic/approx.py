@@ -1,9 +1,9 @@
 """One rational polynomial close to prescribed functions at several primes.
 
 Each target function is expanded in the ordering basis of its component,
-each partial sum is folded into one integer polynomial over a power of p by
-``mahler._fold`` (the congruences are in the ``mahler`` module docstring),
-and the folds are combined coefficientwise by ``globalbasis.crt_combine`` so
+each partial sum is folded by ``mahler._fold`` into F over p^W (the
+congruences are in the ``mahler`` module docstring), and the parts
+(p, k, W, F) are combined coefficientwise by ``globalbasis.crt_combine`` so
 the output is congruent to each partial sum p-adically and integral at every
 other prime.  Soundness is re-verified before returning: per-prime ball-wise
 closeness plus global membership.

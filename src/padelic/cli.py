@@ -163,7 +163,10 @@ def _request_arg(args) -> Dict[str, Any]:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read request file {args.request!r}: {exc.strerror}") from None
-    return _json_object(json.loads(text), "request")
+    try:
+        return _json_object(json.loads(text), "request")
+    except RecursionError:  # the decoder recurses once per nested list or object
+        raise ValueError(f"request file {args.request!r} nests too deeply") from None
 
 
 _HANDLERS = {

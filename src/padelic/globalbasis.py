@@ -4,12 +4,13 @@ The basis is built in integers, one degree n at a time.  The primes with
 w_p(n) > 0 are those of the characteristic ideal: the tracked primes whose
 component meets at most n classes mod p (a p-ordering takes a new class at
 each step while one is left) and ``AdelicSet.untracked_primes``.  Each gives
-its lift h_n, integer numerators over p^w(n); ``crt_combine`` glues the lifts modulo p into F / D, D = prod_p
-p^w_p(n), and a Bezout step on the top numerator makes the leading
-coefficient exactly 1/D.  Only the finished polynomial becomes a
-``RatPoly``.  One ``POrdering`` per prime serves every degree of a call.
-No precision is involved: a lift keeps g_n modulo a power of p that grows
-with w(n), so the ideal and the basis are exact at every degree.
+its lift h_n, integer numerators over p^w(n); ``crt_combine`` glues the
+parts (p, 1, w_p(n), h_n) into F / D, D = prod_p p^w_p(n), and a Bezout
+step on the top numerator makes the leading coefficient exactly 1/D.  Only
+the finished polynomial becomes a ``RatPoly``.  One ``POrdering`` per prime
+serves every degree of a call.  No precision is involved: a lift keeps g_n
+modulo a power of p that grows with w(n), so the ideal and the basis are
+exact at every degree.
 
 The output is that of a CRT over Q that clears each coefficient's
 denominators by a scale S of its own, a divisor of D.  Write D = T S with
@@ -28,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorLimitExceeded, NotFinitelyGenerated, SetTooSmall
 from .ordering import POrdering, local_membership
-from .padic import valp
 from .polys import RatPoly, horner
 from .sets import AdelicSet
 from .utils import strip_primes
@@ -98,29 +98,27 @@ def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
 def crt_combine(parts: Sequence[Tuple[int, int, int, Sequence[int]]]) -> Tuple[int, List[int]]:
     """(D, F): one polynomial F/D congruent to each part modulo p^k in Z_(p)[x].
 
-    Each part is (p, k, den, num), the polynomial num/den with integer
-    numerators num (lowest degree first) and den > 0.  D is the product over
-    the part primes of p^(max v_p(den)), so F/D is q-integral at every other
-    prime q.  Each F_i is the least non-negative numerator over D, so the
-    output is deterministic.
+    Each part is (p, k, w, num), the polynomial num/p^w with integer
+    numerators num, lowest degree first.  D = prod p^w, so v_p(D) = w at a
+    part prime p and F/D is q-integral at every other prime q; F/D is the
+    part modulo p^k exactly when F = num D/p^w modulo p^(k + w).  No
+    valuation is read.  Each F_i is the least non-negative numerator over D,
+    so the output is deterministic.
     """
     if not parts:
         return 1, []
     primes = [p for p, _, _, _ in parts]
     if len(set(primes)) != len(primes):
         raise ValueError("part primes must be distinct")
-    vals = [[valp(den, q) for q in primes] for _, _, den, _ in parts]
-    exps = [max(col) for col in zip(*vals)]
-    big_d = prod(p ** e for p, e in zip(primes, exps))
-    mods = [p ** (k + e) for (p, k, _, _), e in zip(parts, exps)]
+    big_d = prod(p ** w for p, _, w, _ in parts)
+    mods = [p ** (k + w) for p, k, w, _ in parts]
     big_m = prod(mods)
-    # F_i = sum of num_i * coef mod M, coef = D/den modulo the part's
-    # p^(k + e) and 0 modulo every other part's
+    # F_i = sum of num_i * coef mod M, coef = D/p^w modulo the part's
+    # p^(k + w) and 0 modulo every other part's
     coefs = []
-    for j, ((p, _, den, _), e, m) in enumerate(zip(parts, exps, mods)):
-        v, rest = vals[j][j], big_m // m
-        to_den = p ** (e - v) * (big_d // p ** e) * pow(den // p ** v, -1, m)
-        coefs.append(to_den * rest * pow(rest, -1, m) % big_m)
+    for (p, _, w, _), m in zip(parts, mods):
+        rest = big_m // m
+        coefs.append(big_d // p ** w * rest * pow(rest, -1, m) % big_m)
     width = max(len(num) for _, _, _, num in parts)
     return big_d, [sum(c * num[i] for c, (_, _, _, num) in zip(coefs, parts) if i < len(num))
                    % big_m for i in range(width)]
@@ -148,7 +146,7 @@ def regular_basis(a: AdelicSet, max_degree: int) -> BasisFamily:
         if not ideal.factored:
             polys.append(RatPoly.x_power(n))
             continue
-        den, f_n = crt_combine([(p, 1, p ** w, local[p].lift(n))
+        den, f_n = crt_combine([(p, 1, w, local[p].lift(n))
                                 for p, w in ideal.factored.items()])
         # Bezout step: the lifts are monic over p^w, so the top numerator is
         # prime to D and u F + v D x^n has top numerator exactly 1 (the pair

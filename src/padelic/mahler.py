@@ -27,18 +27,18 @@ against each target with that target's k and the polynomial's own
 denominator.
 
 ``_fold`` writes a truncated series S = sum_{n<=top} c_n f_n, c_top != 0, as
-one integer polynomial.  With W = w(top), the exact integer points L a_j of the
-ordering (L = 1 unless a point has a denominator; see ``ordering``),
-g_k(y) = prod_{j<k}(y - L a_j) and u_k the unit part of g_k(L a_k), inverted
-modulo p^D,
+one integer polynomial F over p^W, W = w(top), and returns (W, F).  With the
+exact integer points L a_j of the ordering (L = 1 unless a point has a
+denominator; see ``ordering``), g_k(y) = prod_{j<k}(y - L a_j) and u_k the
+unit part of g_k(L a_k), inverted modulo p^digits,
 
-    F(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(L x)  mod p^(D + W).
+    F(x) = sum_k c_k u_k^-1 p^(W - w(k)) g_k(L x)  mod p^(digits + W).
 
-Term k of F - p^W S is a multiple of p^D p^(W - w(k)) g_k(L x) in Z_(p)[x],
-so F = p^W S mod p^D coefficient by coefficient, and F(x) = p^W S(x) mod
-p^(D + W) at every domain point x, where p^w(k) divides g_k(L x).
-``_certify`` checks F / p^W with D = k = N by the second, one Horner pass
-per test point; ``approx`` reads only the first, with D >= k + W.
+Term k of F - p^W S is a multiple of p^digits p^(W - w(k)) g_k(L x) in
+Z_(p)[x], so F = p^W S mod p^digits coefficient by coefficient, and
+F(x) = p^W S(x) mod p^(digits + W) at every domain point x, where p^w(k)
+divides g_k(L x).  ``_certify`` checks F / p^W with digits = k = N by the
+second; ``approx`` reads only the first, with digits >= k + W.
 
 The integer points, the powers p^w(k) and the u_k^-1 belong to the series'
 ``POrdering``, which builds them on first use and keeps them.  ``expand``
@@ -163,17 +163,17 @@ def _certify(s: MahlerSeries, phi: StepFunction) -> bool:
     """Exact check that the partial sum matches phi to p^-N everywhere: the
     fold F / p^W of the module docstring through the test points of
     ``_first_miss``, one Horner pass modulo p^(N + W) each."""
-    den, num = _fold(s.ordering, s.coeffs, s.precision)
-    return _first_miss(num[::-1], den, phi, s.precision) is None
+    w, num = _fold(s.ordering, s.coeffs, s.precision)
+    return _first_miss(num, s.ordering.prime ** w, phi, s.precision) is None
 
 
 def _fold(o: POrdering, coeffs: Sequence[int], digits: int) -> Tuple[int, List[int]]:
-    """(p^W, F) of the module docstring with D = digits: F's coefficients
-    lowest degree first, folded up to the last non-zero coefficient c_top,
-    W = w(top); (1, []) when every c_n is 0."""
+    """(W, F) of the module docstring: F's coefficients lowest degree first,
+    folded up to the last non-zero coefficient c_top, over p^W, W = w(top);
+    (0, []) when every c_n is 0."""
     top = max((n for n, c in enumerate(coeffs) if c), default=-1)
     if top < 0:
-        return 1, []
+        return 0, []
     res, pw, uinv = o.basis_tables(top, digits)
     p_w = pw[top]
     mod = p_w * o.prime ** digits
@@ -188,13 +188,13 @@ def _fold(o: POrdering, coeffs: Sequence[int], digits: int) -> Tuple[int, List[i
         h[0] = (h[0] + coeffs[k] * uinv[k] * (p_w // pw[k])) % mod
     if o.scale != 1:  # F(x) = H(L x)
         h = [c * pow(o.scale, i, mod) % mod for i, c in enumerate(h)]
-    return p_w, h
+    return o.w[top], h
 
 
 def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Optional[str]:
     """Where num/den first leaves phi + p^k Z_p on phi's domain, or None.
 
-    num holds integer coefficients, highest degree first, and den > 0.  The
+    num holds integer coefficients, lowest degree first, and den > 0.  The
     test points are those of the module docstring: the points of the domain
     first, then t = 0..min(deg, J) at every class c + p^d t of its balls,
     visited in ``residues`` order.

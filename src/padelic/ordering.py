@@ -70,17 +70,14 @@ class POrdering:
         self._pw: List[int] = []
         self._uinv: List[int] = []
 
-    def length(self) -> int:
-        return len(self.points) - 1
-
     def extend(self, length: int) -> "POrdering":
         """Pull steps until a_length is known; a finite set raises
         LengthExceedsSet when it has too few elements."""
-        if length > self.length():
+        if length >= len(self.points):
             if length >= self.set.size():
                 raise LengthExceedsSet(
                     f"ordering of length {length} from a set of {self.set.size()} elements")
-            nums, w = zip(*islice(self._steps, length - self.length()))
+            nums, w = zip(*islice(self._steps, length + 1 - len(self.points)))
             self.numerators += nums
             self.points += nums if self.scale == 1 else tuple(
                 Fraction(a, self.scale) for a in nums)
@@ -209,8 +206,8 @@ def product_poly(o: POrdering, n: int) -> RatPoly:
 
 def basis_rational(o: POrdering, n: int) -> RatPoly:
     """f_n = prod_{k<n} (x - a_k)/(a_n - a_k) with exact rational coefficients."""
-    if n > o.length():
-        raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
+    if n >= len(o.points):
+        raise ValueError(f"degree {n} exceeds ordering length {len(o.points) - 1}")
     den = Fraction(1)
     for a in o.points[:n]:
         den *= o.points[n] - a
@@ -223,8 +220,8 @@ def rational_lift(o: POrdering, n: int) -> RatPoly:
     h_n has canonical coefficients in [0, p^w(n)) below the leading term; the
     returned rational polynomial maps the whole set into Z_p.
     """
-    if n > o.length():
-        raise ValueError(f"degree {n} exceeds ordering length {o.length()}")
+    if n >= len(o.points):
+        raise ValueError(f"degree {n} exceeds ordering length {len(o.points) - 1}")
     h = o.lift(n)
     return RatPoly.over(o.prime ** o.w[n], h)
 

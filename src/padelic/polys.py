@@ -87,26 +87,26 @@ class RatPoly:
 
     def integer_form(self) -> Tuple[int, List[int]]:
         """(D, F): the least common denominator D and the integer coefficients
-        of D * f, highest degree first (the order ``horner_mod`` reads)."""
+        of D * f, lowest degree first, so ``RatPoly.over(D, F)`` is f."""
         d = self.denominator()
-        return d, [c.numerator * (d // c.denominator) for c in reversed(self.coeffs)]
+        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
 
     def __str__(self):
         return format_poly(self)
 
 
 def horner(coeffs: Sequence[int], x: int) -> int:
-    """The integer polynomial with coefficients highest degree first, at x."""
+    """The integer polynomial with coefficients lowest degree first, at x."""
     acc = 0
-    for c in coeffs:
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
 def horner_mod(coeffs: Sequence[int], x: int, mod: int) -> int:
-    """The integer polynomial with coefficients highest degree first, at x, mod mod."""
+    """The integer polynomial with coefficients lowest degree first, at x, mod mod."""
     acc = 0
-    for c in coeffs:
+    for c in reversed(coeffs):
         acc = (acc * x + c) % mod
     return acc
 

@@ -8,6 +8,7 @@ Its p-ordering is a_n = p^s n (Bhargava, J. reine angew. Math. 490 (1997)).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -177,13 +178,30 @@ class AdelicSet:
 # set-description DSL
 
 
+_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _text_number(text: str, what: str, fraction: bool = False) -> Rat:
+    """The integer that text spells in ASCII digits, -?[0-9]+, or with
+    fraction=True also a/b; ValueError for anything else, such as "1_0",
+    "+1", "1e1", "0.5", other scripts' digits or a zero denominator."""
+    m = _NUMBER.fullmatch(text)
+    if m is None or (m[2] is not None and not fraction):
+        raise ValueError(f"{what} {text!r} is not an integer{' or a/b' if fraction else ''}")
+    if m[2] is None:
+        return int(m[1])
+    if not int(m[2]):
+        raise ValueError(f"zero denominator in {what} {text!r}")
+    return Fraction(int(m[1]), int(m[2]))
+
+
 def parse_set(text: str) -> CompactSet:
     """Parse ``p=INT; balls: c+p^k, ...`` or ``p=INT; finite: r, ...``."""
     head, _, body = text.partition(";")
     head = head.strip()
     if not head.startswith("p="):
         raise ValueError(f"set description must start with 'p=': {text!r}")
-    p = int(head[2:])
+    p = _text_number(head[2:].strip(), "prime")
     body = body.strip()
     if body.startswith("balls:"):
         balls = []
@@ -192,14 +210,12 @@ def parse_set(text: str) -> CompactSet:
             radius = radius.strip()
             if not radius.startswith("p^"):
                 raise ValueError(f"bad ball {item!r}, expected 'c+p^k'")
-            balls.append((int(center.strip()), int(radius[2:])))
+            balls.append((_text_number(center.strip(), "centre"),
+                          _text_number(radius[2:].strip(), "radius")))
         return CompactSet.from_balls(p, balls)
     if body.startswith("finite:"):
-        try:
-            elems = [Fraction(item.strip()) for item in body[len("finite:"):].split(",")]
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        return CompactSet.from_finite(p, elems)
+        return CompactSet.from_finite(p, [_text_number(item.strip(), "element", True)
+                                          for item in body[len("finite:"):].split(",")])
     raise ValueError(f"expected 'balls:' or 'finite:' in {text!r}")
 
 
@@ -245,7 +261,7 @@ def _int_keys(obj: Any, what: str) -> Dict[int, Any]:
     integer twice, such as "2" and "02", are refused, not overwritten."""
     out: Dict[int, Any] = {}
     for key, value in _json_object(obj, what).items():
-        n = int(key)
+        n = _text_number(key, f"{what} key")
         if n in out:
             raise ValueError(f"{what} names {n} twice")
         out[n] = value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
@@ -164,9 +165,7 @@ def test_first_miss_matches_all_points(p, radius, lift, n_prec, form, seed):
             # zero at t < J of one class, so there only the point t = J sees it
             bump = _shifted_product(p, m, rng.choice(classes), top_j).scale(
                 p ** rng.randrange(digits) * rng.randrange(1, p)).integer_form()[1]
-            width = max(len(num), len(bump))
-            cases.append([a + b for a, b in zip([0] * (width - len(num)) + list(num),
-                                                [0] * (width - len(bump)) + bump)])
+            cases.append([a + b for a, b in zip_longest(num, bump, fillvalue=0)])
         for case in cases:
             assert _first_miss(case, den, phi, k) == first_miss_all_points(case, den, phi, k)
     assume(below)

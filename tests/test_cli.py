@@ -122,9 +122,20 @@ def test_determinism(capsys):
     ["approx"],
     ["scale"],
     ["expand", "--request", "no/such/request.json"],  # FileNotFoundError
+    # the DSL's numbers are ASCII integers and a/b; int() and Fraction() read more
+    ["ordering", "--set", "p=1_1; balls: 0+p^1", "--length", "2"],  # ordered at p = 11
+    ["ordering", "--set", "p=\u0663; balls: 0+p^1", "--length", "2"],  # at p = 3
+    ["ordering", "--set", "p=2; balls: 1_0+p^5", "--length", "2"],
+    ["ordering", "--set", "p=2; balls: 0+p^1_0", "--length", "2"],
+    ["ordering", "--set", "p=3; finite: 1_0, 2", "--length", "2"],
+    ["ordering", "--set", "p=3; finite: 1e1, 2", "--length", "2"],
+    ["ordering", "--set", "p=3; finite: 0.5, 2", "--length", "2"],
+    ["ordering", "--set", "p=3; finite: +1, 2", "--length", "2"],
 ], ids=["member-no-set", "ordering-no-set", "finite-zero-den", "basis-negative-degree",
         "member-no-poly", "expand-no-request", "approx-no-request", "scale-no-request",
-        "expand-missing-request-file"])
+        "expand-missing-request-file", "prime-underscore", "prime-arabic-indic-digit",
+        "centre-underscore", "radius-underscore", "element-underscore", "element-exponent",
+        "element-decimal", "element-plus-sign"])
 def test_bad_argument_exit_code(capsys, argv):
     code, out = run_cli(argv, capsys)
     assert code == 2
@@ -538,6 +549,13 @@ def test_element_count_is_capped(capsys, monkeypatch, count, expected):
 _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
 
 
+def _z2_table(ten: str) -> dict:
+    """An expand request on Z_2 with m = 4 whose table spells the key 10 as ten."""
+    table = {str(r): r for r in range(16) if r != 10}
+    table[ten] = 10
+    return {"p": 2, "set": _BALLS_SET, "m": 4, "table": table, "N": 4}
+
+
 @pytest.mark.parametrize("verb, request_obj", [
     ("approx", {"set": [], "targets": {}}),  # was an AttributeError traceback
     ("approx", {"set": {"default": "Zp", "tracked": []}, "targets": {}}),  # AttributeError
@@ -564,15 +582,29 @@ _BALLS_SET = {"p": 2, "balls": [{"center": 0, "k": 0}]}
                               "N": 4}},
         "02": {"k": 1, "phi": {"p": 2, "set": _BALLS_SET, "m": 1, "table": {"0": 1, "1": 0},
                                "N": 4}}}}),
-    ("approx", {"set": {"default": "Zp", "tracked": {"2": _BALLS_SET, "+2": _BALLS_SET}},
+    ("approx", {"set": {"default": "Zp", "tracked": {"2": _BALLS_SET, "002": _BALLS_SET}},
                 "targets": {}}),
+    # keys are ASCII integers: int() read each of these as 10
+    ("expand", _z2_table("1_0")),
+    ("expand", _z2_table(" +10 ")),
+    ("expand", _z2_table("\u0661\u0660")),
+    ("approx", {"set": {"default": "Zp", "tracked": {"+2": _BALLS_SET}}, "targets": {}}),
 ], ids=["set-list", "tracked-list", "set-int", "ball-int", "balls-int", "tracked-set-list",
         "request-list", "N-negative", "N-zero", "m-negative-expand", "m-negative-approx",
-        "table-key-twice", "targets-key-twice", "tracked-key-twice"])
+        "table-key-twice", "targets-key-twice", "tracked-key-twice", "table-key-underscore",
+        "table-key-spaces-and-sign", "table-key-arabic-indic-digits", "tracked-key-plus-sign"])
 def test_request_of_wrong_shape_exit_code(tmp_path, capsys, verb, request_obj):
     req = tmp_path / "req.json"
     req.write_text(json.dumps(request_obj))
     code, out = run_cli([verb, "--request", str(req)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_deeply_nested_request_exit_code(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text("[" * 200_000)  # a RecursionError traceback and exit 1 before
+    code, out = run_cli(["expand", "--request", str(req)], capsys)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padelic.padic import valp
-from padelic.polys import MAX_POLY_DEGREE, RatPoly, format_poly, horner, parse_poly
+from padelic.polys import (MAX_POLY_DEGREE, RatPoly, format_poly, horner, horner_mod,
+                           parse_poly)
 
 from oracles import binomial_coeffs, min_valuation_on_zp
 
@@ -70,10 +71,14 @@ def test_parse_rejects_outside_grammar(text):
         parse_poly(text)
 
 
-@given(polys, st.integers(-20, 20))
-def test_horner_evaluates_the_integer_form(f, x):
+@given(polys, st.integers(-20, 20), st.integers(2, 50))
+def test_horner_evaluates_the_integer_form(f, x, mod):
+    # one coefficient order, lowest degree first: over() reads back what
+    # integer_form() writes, and both Horner forms read the same list
     den, num = f.integer_form()
+    assert RatPoly.over(den, num) == f
     assert horner(num, x) == f(x) * den
+    assert horner_mod(num, x, mod) == f(x) * den % mod
 
 
 def test_denominator():
