@@ -1,6 +1,5 @@
 """Exact arithmetic for integer-valued polynomials on p-adic and adelic sets."""
-from .adelic import (AdelicOrdering, AdelicPoint, AdelicPoly, adelic_membership,
-                     adelic_ordering, poly_as_adelic, scale_into_z)
+from .adelic import AdelicOrdering, adelic_ordering, scale_into_z
 from .approx import ApproxCertificate, ApproxRequest, approximate
 from .errors import (CertificateFailed, EmptySet, FactorLimitExceeded, LengthExceedsSet,
                      NoAdelicOrdering, NotCertified, NotFinitelyGenerated,

@@ -1,11 +1,12 @@
-"""Adelic points, polynomials with adelic coefficients, and adelic orderings.
+"""Adelic orderings, and the scaling of a set into the integral adeles.
 
-Untracked components are uniform: an adelic point carries one rational value
-for every untracked prime, and the canonical ordering uses the diagonal
-sequence 0, 1, 2, ... there.  Its step valuations and exception primes are
-those of the set's default (``AdelicSet.untracked_w``, ``untracked_primes``),
-so only the finitely many primes where a step product fails to be a unit are
-ever materialized.
+An adelic ordering is a p-ordering in every component.  Tracked components
+keep the exact points of their own ``POrdering``; every untracked component
+is the diagonal sequence 0, 1, 2, ..., so no point is stored for it.  Its
+step valuations and exception primes are those of the set's default
+(``AdelicSet.untracked_w``, ``untracked_primes``), so only the finitely many
+primes where a step product fails to be a unit are ever materialized.
+Membership in Int_Q(E, Z-hat) is the value criterion of ``global_membership``.
 """
 from __future__ import annotations
 
@@ -14,32 +15,10 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import NoAdelicOrdering
-from .globalbasis import _prime_factors
 from .ordering import POrdering, p_ordering
-from .padic import DEFAULT_PRECISION, PAdicInt, Rat, residue, valp
-from .polys import RatPoly
+from .padic import Rat, residue, valp
 from .sets import FULL, MAX_EXPONENT, AdelicSet, CompactSet
-from .utils import is_prime, strip_primes
-
-
-@dataclass(frozen=True)
-class AdelicPoint:
-    """Element of the adelic product: tracked components plus a diagonal default."""
-
-    tracked: Dict[int, PAdicInt]
-    default: Fraction
-
-
-@dataclass(frozen=True)
-class AdelicPoly:
-    """Polynomial with adelic coefficients, materialized at finitely many primes."""
-
-    degree: int
-    tracked: Dict[int, RatPoly]
-    default: RatPoly
-
-    def component(self, p: int) -> RatPoly:
-        return self.tracked.get(p, self.default)
+from .utils import is_prime
 
 
 @dataclass(frozen=True)
@@ -47,12 +26,8 @@ class AdelicOrdering:
     """Sequence of adelic points that is a p-ordering in every component."""
 
     set: AdelicSet
-    points: Tuple[AdelicPoint, ...]
     local: Dict[int, POrdering]
     exceptions: Tuple[Tuple[int, ...], ...]  # per index: primes with positive step valuation
-
-    def length(self) -> int:
-        return len(self.points)
 
     def w(self, p: int, n: int) -> int:
         """Step valuation of the p-component at index n."""
@@ -60,21 +35,13 @@ class AdelicOrdering:
             return self.local[p].w[n]
         return self.set.untracked_w(p, n)
 
-    def point_value(self, p: int, n: int) -> Rat:
-        if p in self.local:
-            return self.local[p].points[n]
-        return self.points[n].default
 
-
-def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrdering:
+def adelic_ordering(a: AdelicSet, length: int) -> AdelicOrdering:
     """Adelic ordering with `length` points (indices 0..length-1).
 
-    Tracked components come from the per-prime p-orderings, their points
-    reduced modulo p^n_prec; untracked components are the diagonal sequence
-    0, 1, 2, ...
+    Tracked components are the exact per-prime p-orderings; the point at
+    index n of every untracked component is n.
     """
-    if n_prec is None:
-        n_prec = DEFAULT_PRECISION
     if length < 1:
         raise ValueError("length must be >= 1")
     top = length - 1
@@ -83,38 +50,12 @@ def adelic_ordering(a: AdelicSet, length: int, n_prec: int = None) -> AdelicOrde
         raise NoAdelicOrdering(
             "pZ_p default gives step valuation >= 1 at every untracked prime")
     local = {p: p_ordering(comp, top) for p, comp in a.tracked.items()}
-    points = [AdelicPoint(tracked={p: PAdicInt(p, residue(o.points[n], p ** n_prec), n_prec)
-                                   for p, o in local.items()},
-                          default=Fraction(n))
-              for n in range(length)]
     exceptions = []
     for n in range(length):
         exc = {p for p in untracked if p <= n}
         exc.update(p for p in local if local[p].w[n] > 0)
         exceptions.append(tuple(sorted(exc)))
-    return AdelicOrdering(set=a, points=tuple(points), local=local,
-                          exceptions=tuple(exceptions))
-
-
-def adelic_membership(g: AdelicPoly, o: AdelicOrdering) -> bool:
-    """Value criterion: g is integer-valued iff g(alpha_k) is integral, k <= deg."""
-    if g.degree > o.length() - 1:
-        raise ValueError("ordering too short for the degree of g")
-    covered = set(g.tracked) | set(o.local)
-    for k in range(g.degree + 1):
-        for p in covered:
-            f_p = g.component(p)
-            if valp(f_p(o.point_value(p, k)), p) < 0:
-                return False
-        if strip_primes(g.default(Fraction(k)).denominator, covered) > 1:
-            return False  # non-integral at an untracked prime
-    return True
-
-
-def poly_as_adelic(f: RatPoly, o: AdelicOrdering) -> AdelicPoly:
-    """Re-read a rational polynomial as an adelic polynomial (equal components)."""
-    primes = set(o.local) | _prime_factors(f.denominator())
-    return AdelicPoly(degree=max(f.degree(), 0), tracked={p: f for p in primes}, default=f)
+    return AdelicOrdering(set=a, local=local, exceptions=tuple(exceptions))
 
 
 def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]

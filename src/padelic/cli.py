@@ -17,11 +17,11 @@ from .errors import CertificateFailed, NotCertified, PadelicError, PrecisionExha
 from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
-from .padic import DEFAULT_PRECISION
+from .padic import DEFAULT_PRECISION, residue
 from .polys import MAX_POLY_DEGREE, RatPoly, format_poly, parse_poly
 from .sets import (MAX_EXPONENT, AdelicSet, CompactSet, _int_keys, _json_int, _json_list,
-                   _json_object, adelic_from_json, adelic_to_json, parse_adelic, parse_set,
-                   rational_from_json, set_from_json)
+                   _json_object, _text_number, adelic_from_json, adelic_to_json, parse_adelic,
+                   parse_set, rational_from_json, set_from_json)
 
 DIAGNOSTIC_ERRORS = (PrecisionExhausted, CertificateFailed, NotCertified)
 
@@ -113,10 +113,12 @@ def _cmd_approx(args) -> Dict[str, Any]:
 
 def _cmd_adelic_ordering(args) -> Dict[str, Any]:
     a = _adelic_arg(args)
-    o = adelic_ordering(a, args.length, args.precision)
-    points = [{"default": _rat_json(pt.default),
-               "tracked": {str(p): v.residue for p, v in pt.tracked.items()}}
-              for pt in o.points]
+    o = adelic_ordering(a, args.length)
+    n_prec = DEFAULT_PRECISION if args.precision is None else args.precision
+    points = [{"default": n,
+               "tracked": {str(p): residue(local.points[n], p ** n_prec)
+                           for p, local in o.local.items()}}
+              for n in range(args.length)]
     return {"points": points,
             "w": {str(p): list(o.local[p].w) for p in sorted(o.local)},
             "exceptions": [list(e) for e in o.exceptions]}
@@ -185,6 +187,12 @@ class UsageError(Exception):
     """An argv the parser refuses: unknown verb or option, or a bad option value."""
 
 
+def integer(text: str) -> int:
+    """An integer option in ASCII digits, -?[0-9]+, as the set DSL reads one;
+    argparse names this function in its refusal ("invalid integer value")."""
+    return _text_number(text, "option value")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -198,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("verb", choices=sorted(_HANDLERS))
     parser.add_argument("--set", help="single-prime set DSL, e.g. 'p=2; balls: 0+p^1'")
     parser.add_argument("--adelic", help="adelic set DSL, e.g. 'default=Zp; p=2; balls: 0+p^1'")
-    parser.add_argument("--degree", type=int, default=0)
-    parser.add_argument("--length", type=int, default=0)
-    parser.add_argument("--precision", type=int, default=None)
+    parser.add_argument("--degree", type=integer, default=0)
+    parser.add_argument("--length", type=integer, default=0)
+    parser.add_argument("--precision", type=integer, default=None)
     parser.add_argument("--poly", help="polynomial, e.g. '1/2*x^2-1/2*x'")
     parser.add_argument("--request", help="path to a JSON request file")
     parser.add_argument("--out", help="write JSON here instead of stdout")

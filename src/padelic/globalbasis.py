@@ -42,7 +42,6 @@ FACTOR_BOUND = 1 << 20
 class CharIdeal:
     """Degree-n characteristic module: (1/D) Z with D = prod p^np, or not f.g."""
 
-    degree: int
     factored: Optional[Dict[int, int]] = None  # prime -> np, only np > 0
     witness: Optional[str] = None  # description when not finitely generated
 
@@ -84,7 +83,7 @@ def char_ideal(a: AdelicSet, n: int) -> CharIdeal:
 def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
     untracked = a.untracked_primes(n)
     if untracked is None:
-        return CharIdeal(degree=n, witness=(
+        return CharIdeal(witness=(
             "every untracked prime contributes w_p(%d) >= 1 on pZ_p" % n))
     factored = {p: a.untracked_w(p, n) for p in untracked}
     for p in sorted(a.tracked):
@@ -92,7 +91,7 @@ def _char_ideal(a: AdelicSet, n: int, local: _Locals) -> CharIdeal:
         if size <= n:
             raise SetTooSmall(f"component at {p} has {size} elements, degree {n} needs more")
         factored[p] = local[p].extend(n).w[n]
-    return CharIdeal(degree=n, factored={p: w for p, w in sorted(factored.items()) if w})
+    return CharIdeal(factored={p: w for p, w in sorted(factored.items()) if w})
 
 
 def crt_combine(parts: Sequence[Tuple[int, int, int, Sequence[int]]]) -> Tuple[int, List[int]]:
@@ -162,7 +161,9 @@ def regular_basis(a: AdelicSet, max_degree: int) -> BasisFamily:
 def global_membership(f: RatPoly, a: AdelicSet) -> bool:
     """Whether f is integer-valued on the whole adelic set.
 
-    Tracked primes use the p-ordering value criterion.  Untracked primes only
+    This is the value criterion at the first deg + 1 points of the adelic
+    ordering: the p-ordering points where p is tracked, and 0..deg elsewhere.
+    A tracked prime is checked by ``local_membership``.  Untracked primes only
     matter when they divide a coefficient denominator.  With f = F/D, F
     integral, the binomial-basis coefficients of f are Delta^n F(0) / D,
     n <= deg f, so a Z_p default fails exactly at the primes dividing

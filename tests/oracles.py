@@ -12,7 +12,7 @@ from itertools import islice
 from math import comb, isqrt, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from padelic.adelic import AdelicOrdering, AdelicPoly
+from padelic.adelic import AdelicOrdering
 from padelic.approx import ApproxRequest
 from padelic.errors import NotFinitelyGenerated, PrecisionExhausted, SetTooSmall
 from padelic.globalbasis import BasisFamily, _xgcd
@@ -174,16 +174,16 @@ def membership_by_factoring(f: RatPoly, a: AdelicSet) -> bool:
     return True
 
 
-def adelic_membership_by_factoring(g: AdelicPoly, o: AdelicOrdering) -> bool:
-    """Reference: the value criterion, factoring each default value's denominator."""
-    covered = set(g.tracked) | set(o.local)
-    for k in range(g.degree + 1):
-        for p in covered:
-            x = o.point_value(p, k) if p in o.local else Fraction(k)
-            if valp(g.component(p)(x), p) < 0:
+def adelic_membership_by_factoring(f: RatPoly, o: AdelicOrdering) -> bool:
+    """Reference: the value criterion with Fractions at the first deg + 1
+    points of the adelic ordering, o.local[p].points[k] at a tracked prime p
+    and k at an untracked prime of f's denominator."""
+    primes = set(o.local) | trial_division_primes(f.denominator())
+    for k in range(max(f.degree(), 0) + 1):
+        for p in primes:
+            x = o.local[p].points[k] if p in o.local else k
+            if valp(f(Fraction(x)), p) < 0:
                 return False
-        if not trial_division_primes(g.default(Fraction(k)).denominator) <= covered:
-            return False
     return True
 
 

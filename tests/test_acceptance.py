@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from padelic.adelic import adelic_membership, adelic_ordering, poly_as_adelic
+from padelic.adelic import adelic_ordering
 from padelic.approx import ApproxRequest, approximate
 from padelic.globalbasis import char_ideal, global_membership, regular_basis
 from padelic.mahler import StepFunction, evaluate, expand, sup_norm_data
@@ -24,7 +24,7 @@ from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, residues
 from padelic.utils import v_of_factorial
 
-from oracles import min_valuation_on_zp, zp
+from oracles import adelic_membership_by_factoring, min_valuation_on_zp, zp
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -52,7 +52,7 @@ def test_criterion_01_binomial_recovery():
         assert f.lc() == Fraction(1, math.factorial(n))
         b = RatPoly.binomial(n)
         assert global_membership(b, ZHAT)
-        assert adelic_membership(poly_as_adelic(b, o), o)
+        assert adelic_membership_by_factoring(b, o)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report(1, "regular basis on Z-hat has lc 1/n! and binomials are members", t0)
@@ -309,5 +309,5 @@ def test_criterion_10_basis_transfer():
     for a, fam in _BASIS_RESULTS:
         o = adelic_ordering(a, 7)
         for f in fam.polys:
-            assert adelic_membership(poly_as_adelic(f, o), o)
+            assert global_membership(f, a) and adelic_membership_by_factoring(f, o)
     _report(10, f"all basis polynomials from criterion 7 pass adelic membership", t0)

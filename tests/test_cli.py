@@ -147,7 +147,14 @@ def test_bad_argument_exit_code(capsys, argv):
     ["bogus"],
     [],
     ["ordering", "--set", "p=2; balls: 0+p^1", "--length", "four"],
-], ids=["option-like-value", "unknown-verb", "no-verb", "non-integer-length"])
+    ["charideal", "--adelic", "default=Zp", "--degree", "1_0"],  # answered for degree 10
+    ["charideal", "--adelic", "default=Zp", "--degree", "\u0664"],  # for degree 4
+    ["charideal", "--adelic", "default=Zp", "--degree", " 4 "],
+    ["ordering", "--set", "p=2; balls: 0+p^1", "--length", "1_0"],
+    ["adelic-ordering", "--adelic", "default=Zp", "--length", "2", "--precision", "0_2"],
+], ids=["option-like-value", "unknown-verb", "no-verb", "non-integer-length",
+        "degree-underscore", "degree-arabic-indic-digit", "degree-spaces", "length-underscore",
+        "precision-underscore"])
 def test_usage_error_prints_json(capsys, argv):
     code, out = run_cli(argv, capsys)
     assert code == 2

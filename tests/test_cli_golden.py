@@ -75,6 +75,9 @@ CASES = {
     "adelic_ordering_tracked": ["adelic-ordering", "--adelic",
                                 "default=Zp; p=2; balls: 1+p^2; p=3; finite: 0, 1, 3, 4, 9",
                                 "--length", "5"],
+    "adelic_ordering_precision": ["adelic-ordering", "--adelic",
+                                  "default=Zp; p=3; finite: 0, 1/2, 10, 28, 5/4",
+                                  "--length", "4", "--precision", "2"],
     "scale_mixed": ["scale", "--request", f"{REQ}/scale_mixed.json"],
     "charideal_pzp_tracked_degree0": ["charideal", "--adelic", "default=pZp; p=2; balls: 1+p^1",
                                       "--degree", "0"],

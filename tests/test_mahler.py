@@ -161,11 +161,11 @@ def test_expand_runs_one_ordering_search(monkeypatch):
 
 def test_expand_adelic_orders_a_finite_component_at_its_own_precision():
     # the ordering of a finite set depends on the set alone, so an adelic
-    # ordering at 5 digits has the points that expand orders at 4
+    # ordering, which takes no precision, has the points that expand orders at 4
     dom = CompactSet.from_finite(3, [1, -1, 3 ** 10 - 1])
     a = AdelicSet(tracked={3: dom}, default=FULL)
     phi = StepFunction(3, dom, 1, {1: 1, 2: 2}, 4)
-    assert adelic_ordering(a, 2, 5).local[3].points == expand(phi, 4).ordering.points[:2]
+    assert adelic_ordering(a, 2).local[3].points == expand(phi, 4).ordering.points[:2]
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 10 ** 6))
