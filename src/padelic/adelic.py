@@ -25,15 +25,8 @@ from .utils import is_prime
 class AdelicOrdering:
     """Sequence of adelic points that is a p-ordering in every component."""
 
-    set: AdelicSet
     local: Dict[int, POrdering]
     exceptions: Tuple[Tuple[int, ...], ...]  # per index: primes with positive step valuation
-
-    def w(self, p: int, n: int) -> int:
-        """Step valuation of the p-component at index n."""
-        if p in self.local:
-            return self.local[p].w[n]
-        return self.set.untracked_w(p, n)
 
 
 def adelic_ordering(a: AdelicSet, length: int) -> AdelicOrdering:
@@ -55,7 +48,7 @@ def adelic_ordering(a: AdelicSet, length: int) -> AdelicOrdering:
         exc = {p for p in untracked if p <= n}
         exc.update(p for p in local if local[p].w[n] > 0)
         exceptions.append(tuple(sorted(exc)))
-    return AdelicOrdering(set=a, local=local, exceptions=tuple(exceptions))
+    return AdelicOrdering(local=local, exceptions=tuple(exceptions))
 
 
 def scale_into_z(components: Dict[int, Sequence[Tuple[Rat, int]]]

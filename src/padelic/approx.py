@@ -9,7 +9,8 @@ other prime.  Soundness is re-verified before returning: per-prime ball-wise
 closeness plus global membership.
 
 Closeness is checked pointwise in integers by ``mahler._first_miss``, the
-certificate of the ``mahler`` module docstring, at each target's k.
+certificate of the ``mahler`` module docstring, at each target's k, in one
+attempt (``approximate`` says why a second could not help).
 """
 from __future__ import annotations
 
@@ -51,32 +52,39 @@ class ApproxCertificate:
 
 
 def approximate(r: ApproxRequest) -> ApproxCertificate:
-    """Rational polynomial within p^-k of each target, integer-valued on the set."""
+    """Rational polynomial within p^-k of each target, integer-valued on the set.
+
+    One attempt, built from ``expand(phi, k)``, always passes the checks: f is
+    within p^-k of phi_p and integer-valued on E_p at each target p, and
+    D = prod p^W is a unit at every other prime q, so f is integral on E_q.
+    More digits gain nothing: if the 2k-digit series certifies at length L,
+    every later coefficient is 0 mod p^2k, so the k-digit run of zeros
+    certifies by length L + p^m, unless that passes the length cap.  A failed
+    check would be a defect; it and an expansion that reaches its cap raise
+    CertificateFailed.  ``attempts`` is always 1.
+    """
     if not r.targets:
         return ApproxCertificate(poly=RatPoly.zero(), closeness={}, member=True,
                                  degree=-1, attempts=1)
-    last_error = None
-    for attempt in (1, 2):
-        try:
-            f = _build(r, mult=attempt)
-        except CertificateFailed as exc:
-            last_error = exc
-            continue
-        bad = _verify(f, r)
-        if bad is None and global_membership(f, r.set):
-            return ApproxCertificate(
-                poly=f, closeness={p: k for p, (_, k) in r.targets.items()},
-                member=True, degree=f.degree(), attempts=attempt)
-        last_error = CertificateFailed(
-            bad if bad else "combined polynomial fails global membership")
-    raise CertificateFailed(f"approximation not certified: {last_error}")
+    try:
+        f = _build(r)
+    except CertificateFailed as exc:
+        raise CertificateFailed(f"approximation not certified: {exc}") from None
+    bad = _verify(f, r)
+    if bad is None and not global_membership(f, r.set):
+        bad = "combined polynomial fails global membership"
+    if bad is not None:
+        raise CertificateFailed(f"approximation not certified: {bad}")
+    return ApproxCertificate(
+        poly=f, closeness={p: k for p, (_, k) in r.targets.items()},
+        member=True, degree=f.degree(), attempts=1)
 
 
-def _build(r: ApproxRequest, mult: int) -> RatPoly:
+def _build(r: ApproxRequest) -> RatPoly:
     k_top = max(k for _, k in r.targets.values())
     parts = []
     for p, (phi, k) in sorted(r.targets.items()):
-        s = expand(phi, min(mult * k, phi.precision))
+        s = expand(phi, k)
         digits = k_top + s.ordering.w[s.length() - 1]  # >= k_top + W: F / p^W = S mod p^k_top
         parts.append((p, k_top, *_fold(s.ordering, s.coeffs, digits)))
     return RatPoly.over(*crt_combine(parts))

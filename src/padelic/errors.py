@@ -35,7 +35,3 @@ class NoAdelicOrdering(PadelicError):
 
 class CertificateFailed(PadelicError):
     """A result could not be certified within the configured bounds."""
-
-
-class NotCertified(PadelicError):
-    """An operation requiring a certified series received an uncertified one."""

@@ -43,18 +43,17 @@ second; ``approx`` reads only the first, with digits >= k + W.
 The integer points, the powers p^w(k) and the u_k^-1 belong to the series'
 ``POrdering``, which builds them on first use and keeps them.  ``expand``
 orders its domain once and pulls further steps from the same ordering as
-the series grows; ``evaluate`` and ``expand_in_basis`` read the tables the
-expansion already built.
+the series grows; ``expand_in_basis`` reads the tables it built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CertificateFailed, NotCertified, PrecisionExhausted
+from .errors import CertificateFailed, PrecisionExhausted
 from .ordering import POrdering, p_ordering
-from .padic import INF, PAdicInt, Rat, residue, valp
+from .padic import INF, Rat, residue, valp
 from .polys import horner_mod
 from .sets import MAX_CLASSES, MAX_EXPONENT, CompactSet, count_residues, residues
 
@@ -101,11 +100,11 @@ class MahlerSeries:
     ordering: POrdering
     coeffs: Tuple[int, ...]
     precision: int
-    certificate_depth: Optional[int] = None  # depth the certificate covers; None if uncertified
 
     @property
-    def certified(self) -> bool:
-        return self.certificate_depth is not None
+    def certificate_depth(self) -> int:
+        """Depth the certificate covers: N + w(top), top the last index."""
+        return self.precision + self.ordering.w[len(self.coeffs) - 1]
 
     def length(self) -> int:
         return len(self.coeffs)
@@ -151,7 +150,7 @@ def expand(phi: StepFunction, n_prec: int = None) -> MahlerSeries:
         if done_finite or (run >= run_target and run % run_target == 0):
             series = MahlerSeries(ordering=o, coeffs=tuple(coeffs), precision=n_prec)
             if _certify(series, phi):
-                return replace(series, certificate_depth=n_prec + (o.w[n] if n else 0))
+                return series
             if done_finite:
                 raise CertificateFailed(
                     "finite-domain expansion does not reproduce the table")
@@ -218,41 +217,6 @@ def _first_miss(num: Sequence[int], den: int, phi: StepFunction, k: int) -> Opti
                for t in range(points)):
             return f"ball {c} + {p}^{depth} Z_{p}"
     return None
-
-
-def evaluate(s: MahlerSeries, x: Union[PAdicInt, Rat]) -> PAdicInt:
-    """Partial-sum value at a domain point, with honestly propagated precision."""
-    p = s.ordering.prime
-    out_prec = s.precision
-    if isinstance(x, PAdicInt):
-        w_top = s.ordering.w[s.length() - 1] if s.length() > 1 else 0
-        out_prec = min(out_prec, x.precision - w_top)
-        if out_prec < 1:
-            raise PrecisionExhausted("argument has too few digits for this series")
-        x = x.residue
-    fvals = s.ordering.basis_values(x, s.length() - 1, s.precision)
-    total = sum(ck * fk for ck, fk in zip(s.coeffs, fvals)) % p ** out_prec
-    return PAdicInt(p, total, out_prec)
-
-
-def sup_norm_data(s: MahlerSeries, phi: StepFunction):
-    """(inf_n v_p(c_n), inf_y v_p(phi(y))) with the c_n and the values of phi
-    both read modulo p^N, N the series' precision; an infimum over residues
-    that are all 0 is INF.
-
-    The two infima must agree; a mismatch raises CertificateFailed rather
-    than being returned silently.
-    """
-    if not s.certified:
-        raise NotCertified("sup-norm data requires a certified series")
-    p = s.ordering.prime
-    small = p ** s.precision
-    coeff_inf = min((valp(c, p) for c in s.coeffs if c), default=INF)
-    value_inf = min((valp(v % small, p) for v in phi.table.values() if v % small), default=INF)
-    if coeff_inf != value_inf:
-        raise CertificateFailed(
-            f"sup-norm identity violated: coefficients {coeff_inf}, values {value_inf}")
-    return coeff_inf, value_inf
 
 
 # ---------------------------------------------------------------------------

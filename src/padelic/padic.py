@@ -1,15 +1,14 @@
-"""Exact rationals, p-adic valuations, and residues of Z_p cosets.
+"""Exact rationals, p-adic valuations, and residues modulo p^N.
 
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
 positive denominator), so gcd/canonical-form bookkeeping comes for free.
 Truncation only ever happens modulo p^N: ``residue`` reduces a p-integral
-rational, and a ``PAdicInt`` is a coset ``residue + p^N Z_p`` that carries its
-depth N explicitly, so no digit beyond it is ever claimed.
+rational to the coset ``residue + p^N Z_p``, and every caller keeps its N
+beside it, so no digit beyond it is ever claimed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -44,16 +43,3 @@ def valp(x: Rat, p: int):
 def residue(x: Rat, mod: int) -> int:
     """Canonical residue in [0, mod) of a rational whose denominator is prime to mod."""
     return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
-@dataclass(frozen=True)
-class PAdicInt:
-    """A coset residue + p^precision * Z_p."""
-
-    prime: int
-    residue: int
-    precision: int
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.prime ** self.precision:
-            raise ValueError("residue out of canonical range")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .padic import Rat
@@ -39,14 +39,6 @@ class RatPoly:
     @classmethod
     def x_power(cls, n: int, c: Rat = 1) -> "RatPoly":
         return cls.make([0] * n + [c])
-
-    @classmethod
-    def binomial(cls, n: int) -> "RatPoly":
-        """The binomial polynomial x(x-1)...(x-n+1)/n!."""
-        poly = cls.constant(1)
-        for k in range(n):
-            poly = poly * cls.make([-k, 1])
-        return poly * cls.constant(Fraction(1, factorial(n)))
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt, lcm
+from math import comb, factorial, isqrt, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from padelic.adelic import AdelicOrdering
@@ -97,6 +97,14 @@ def poly_sum(polys: Iterable[RatPoly]) -> RatPoly:
     return RatPoly.make(out)
 
 
+def binomial(n: int) -> RatPoly:
+    """The binomial polynomial x(x-1)...(x-n+1)/n!."""
+    poly = RatPoly.constant(1)
+    for k in range(n):
+        poly = poly * RatPoly.make([-k, 1])
+    return poly.scale(Fraction(1, factorial(n)))
+
+
 def binomial_coeffs(f: RatPoly, length: int = None) -> List[Fraction]:
     """Coefficients b_n in f = sum b_n * binom(x, n), via finite differences."""
     if length is None:
@@ -110,6 +118,24 @@ def partial_sum_by_basis_rational(s: MahlerSeries) -> RatPoly:
     """sum c_n f_n, adding each exact basis polynomial f_n in turn."""
     return poly_sum(basis_rational(s.ordering, n).scale(c)
                     for n, c in enumerate(s.coeffs) if c)
+
+
+def series_value(s: MahlerSeries, x) -> int:
+    """The partial sum sum c_n f_n(x) modulo p^N, N the series' precision,
+    from the integer basis values of the series' ordering."""
+    fvals = s.ordering.basis_values(x, s.length() - 1, s.precision)
+    return sum(c * f for c, f in zip(s.coeffs, fvals)) % s.ordering.prime ** s.precision
+
+
+def sup_norm_data(s: MahlerSeries, phi: StepFunction):
+    """(inf_n v_p(c_n), inf_y v_p(phi(y))) with the c_n and the values of phi
+    both read modulo p^N, N the series' precision; an infimum over residues
+    that are all 0 is INF.  The paper's sup-norm identity says the two agree."""
+    p = s.ordering.prime
+    small = p ** s.precision
+    coeff_inf = min((valp(c, p) for c in s.coeffs if c), default=INF)
+    value_inf = min((valp(v % small, p) for v in phi.table.values() if v % small), default=INF)
+    return coeff_inf, value_inf
 
 
 def verify_by_differences(f: RatPoly, r: ApproxRequest):

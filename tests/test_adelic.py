@@ -13,7 +13,7 @@ from padelic.globalbasis import global_membership, regular_basis
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet
 
-from oracles import adelic_membership_by_factoring, pzp, zp
+from oracles import adelic_membership_by_factoring, binomial, pzp, zp
 from test_globalbasis import random_binomial_poly
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
@@ -24,8 +24,8 @@ def test_default_ordering_is_diagonal():
     # adelic_ordering_zp pins them as the CLI prints them
     o = adelic_ordering(ZHAT, 6)
     assert o.local == {} and len(o.exceptions) == 6
-    assert o.w(2, 4) == 3  # v_2(4!)
-    assert o.w(5, 4) == 0
+    assert ZHAT.untracked_w(2, 4) == 3  # v_2(4!)
+    assert ZHAT.untracked_w(5, 4) == 0
 
 
 def test_exception_lists():
@@ -65,7 +65,7 @@ def test_membership_rejects_non_integral():
     bad = RatPoly.make([0, Fraction(1, 2)])
     assert not global_membership(bad, ZHAT) and not adelic_membership_by_factoring(bad, o)
     for n in range(5):
-        b = RatPoly.binomial(n)
+        b = binomial(n)
         assert global_membership(b, ZHAT) and adelic_membership_by_factoring(b, o)
 
 

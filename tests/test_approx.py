@@ -17,8 +17,8 @@ from padelic.padic import INF, valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, AdelicSet, CompactSet, residues
 
-from oracles import (crt_combine_by_fractions, partial_sum_by_basis_rational, poly_sum,
-                     verify_by_differences, zp)
+from oracles import (crt_combine_by_fractions, membership_by_factoring,
+                     partial_sum_by_basis_rational, poly_sum, verify_by_differences, zp)
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
 
@@ -177,15 +177,14 @@ def test_fold_matches_basis_rational_sum(p, shape, digits, seed):
         assert valp(f(Fraction(x)) - den * exact(Fraction(x)), p) >= digits + o.w[top]
 
 
-@given(st.lists(st.tuples(st.sampled_from([2, 3, 5]),
-                          st.sampled_from(["zp", "balls", "finite"])),
-                min_size=1, max_size=2, unique_by=lambda t: t[0]),
-       st.integers(1, 2), st.integers(1, 3), st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_build_matches_fraction_sums(shapes, mult, k_max, seed):
-    # the folds are congruent to the exact partial sums mod p^k_top, and the
-    # CRT answer is unique in [0, prod p^k_top) over any clearing denominator
-    rng = random.Random(seed)
+SHAPES = st.lists(st.tuples(st.sampled_from([2, 3, 5]),
+                           st.sampled_from(["zp", "balls", "finite"])),
+                  min_size=1, max_size=2, unique_by=lambda t: t[0])
+
+
+def _request(shapes, k_max: int, rng: random.Random) -> ApproxRequest:
+    """A target on each drawn domain, m <= 2 (m <= 1 at p = 5) and k <= k_max,
+    tabulated to 2k digits."""
     tracked, targets = {}, {}
     for p, shape in shapes:
         dom = tracked[p] = _domain(p, shape, rng)
@@ -193,23 +192,43 @@ def test_build_matches_fraction_sums(shapes, mult, k_max, seed):
         k = rng.randrange(1, k_max + 1)
         table = {r: rng.randrange(p ** (2 * k)) for r in residues(dom, m)}
         targets[p] = (StepFunction(p, dom, m, table, 2 * k), k)
-    r = ApproxRequest(set=AdelicSet(tracked=tracked, default=FULL), targets=targets)
-    k_top = max(k for _, k in targets.values())
+    return ApproxRequest(set=AdelicSet(tracked=tracked, default=FULL), targets=targets)
+
+
+@given(SHAPES, st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_build_matches_fraction_sums(shapes, k_max, seed):
+    # the folds are congruent to the exact partial sums mod p^k_top, and the
+    # CRT answer is unique in [0, prod p^k_top) over any clearing denominator
+    r = _request(shapes, k_max, random.Random(seed))
+    k_top = max(k for _, k in r.targets.values())
     try:
-        sums = {p: partial_sum_by_basis_rational(expand(phi, min(mult * k, phi.precision)))
-                for p, (phi, k) in targets.items()}
+        sums = {p: partial_sum_by_basis_rational(expand(phi, k))
+                for p, (phi, k) in r.targets.items()}
     except CertificateFailed:
         with pytest.raises(CertificateFailed):
-            _build(r, mult)
+            _build(r)
         return
-    assert _build(r, mult) == crt_combine_by_fractions(
+    assert _build(r) == crt_combine_by_fractions(
         [(p, k_top, f) for p, f in sorted(sums.items())])
+
+
+@given(SHAPES, st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_one_build_passes_both_checks(shapes, k_max, seed):
+    # the argument of ``approximate``: the one build from expand(phi, k) is
+    # within p^-k of each target and integer-valued on the set, so no second
+    # attempt is ever needed; checked by the Fraction references
+    r = _request(shapes, k_max, random.Random(seed))
+    f = _build(r)
+    assert verify_by_differences(f, r) is None
+    assert membership_by_factoring(f, r.set)
 
 
 def _candidates(r: ApproxRequest, rng: random.Random):
     """The certified combination, then partial sums that are truncated or
     carry one corrupted coefficient."""
-    yield _build(r, 1)
+    yield _build(r)
     for p, (phi, k) in r.targets.items():
         series = expand(phi, phi.precision)
         o, coeffs = series.ordering, list(series.coeffs)
@@ -224,10 +243,7 @@ def _candidates(r: ApproxRequest, rng: random.Random):
             yield _exact(o, bad[:rng.randrange(1, len(bad) + 1)])
 
 
-@given(st.lists(st.tuples(st.sampled_from([2, 3, 5]),
-                          st.sampled_from(["zp", "balls", "finite"])),
-                min_size=1, max_size=2, unique_by=lambda t: t[0]),
-       st.integers(1, 3), st.integers(0, 10 ** 6))
+@given(SHAPES, st.integers(1, 3), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_verify_matches_difference_table(shapes, k, seed):
     rng = random.Random(seed)

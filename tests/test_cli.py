@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -184,6 +185,33 @@ def test_diagnostic_exit_code(tmp_path, capsys):
     code, out = run_cli(["expand", "--request", str(req), "--precision", "6"], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "PrecisionExhausted"
+
+
+_LARGE_ANSWERS = {
+    # D = 2^14347 * 14!/2^11 has 4,327 digits
+    "charideal": ["charideal", "--adelic", "default=Zp; p=2; balls: 0+p^1024", "--degree", "14"],
+    # the residue of 1/2 modulo p^1024
+    "adelic-ordering": ["adelic-ordering", "--adelic", "default=Zp; p=100003; finite: 0, 1/2, 5",
+                        "--length", "3", "--precision", "1024"],
+    # c_2 = -3/2 modulo p^1024
+    "expand": {"p": 100003, "m": 1, "N": 1024, "set": {"p": 100003, "finite": [0, 2, 3]},
+               "table": {"0": 0, "2": 1, "3": 0}},
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("case", sorted(_LARGE_ANSWERS))
+def test_answer_past_the_digit_limit_exits_two(tmp_path, capsys, case):
+    # json.dumps refuses an int of more than 4,300 digits; the refusal is
+    # one JSON error object, not a traceback.  Python writes the detail.
+    argv = _LARGE_ANSWERS[case]
+    if isinstance(argv, dict):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(argv))
+        argv = [case, "--request", str(req)]
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
 def test_basis_needs_no_precision(capsys):

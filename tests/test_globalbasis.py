@@ -18,7 +18,7 @@ from padelic.padic import valp
 from padelic.polys import RatPoly
 from padelic.sets import FULL, PZP, AdelicSet, CompactSet, parse_adelic
 
-from oracles import (crt_combine_by_fractions, membership_by_binomial_lcm,
+from oracles import (binomial, crt_combine_by_fractions, membership_by_binomial_lcm,
                      membership_by_factoring, poly_sum, pzp, regular_basis_per_degree, zp)
 
 ZHAT = AdelicSet(tracked={}, default=FULL)
@@ -150,7 +150,7 @@ def test_regular_basis_pzp_default_fails():
 
 
 def test_global_membership():
-    assert global_membership(RatPoly.binomial(6), ZHAT)
+    assert global_membership(binomial(6), ZHAT)
     assert not global_membership(RatPoly.make([0, Fraction(1, 2)]), ZHAT)
     # x^2/2 integer-valued when the 2-component is 2Z_2
     a = AdelicSet(tracked={2: pzp(2)}, default=FULL)
@@ -169,7 +169,7 @@ def random_binomial_poly(rng: random.Random, tracked, max_den: int,
             den = math.prod(p ** rng.randrange(3) for p in tracked)
         else:
             den = 1
-        terms.append(RatPoly.binomial(k).scale(Fraction(rng.randrange(-50, 51), den)))
+        terms.append(binomial(k).scale(Fraction(rng.randrange(-50, 51), den)))
     return poly_sum(terms)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from padelic.padic import INF, PAdicInt, residue, valp
+from padelic.padic import INF, residue, valp
 
 PRIMES = [2, 3, 5, 7]
 
@@ -34,17 +34,16 @@ def test_valp_rejects_modulus_below_two(p):
 
 
 def test_embed_and_residue():
-    x = PAdicInt(2, residue(6, 2 ** 5), 5)
-    assert (x.residue, x.precision, valp(x.residue, 2)) == (6, 5, 1)
-    z = PAdicInt(2, residue(0, 2 ** 4), 4)
-    assert valp(z.residue, 2) == INF and z.precision == 4
+    x = residue(6, 2 ** 5)
+    assert (x, valp(x, 2)) == (6, 1)
+    assert valp(residue(0, 2 ** 4), 2) == INF
 
 
 def test_embed_rational():
     # 1/3 in Z_2: 3 * residue = 1 mod 2^6
-    x = PAdicInt(2, residue(Fraction(1, 3), 2 ** 6), 6)
-    assert valp(x.residue, 2) == 0
-    assert 3 * x.residue % 64 == 1
+    x = residue(Fraction(1, 3), 2 ** 6)
+    assert valp(x, 2) == 0
+    assert 3 * x % 64 == 1
 
 
 def test_mul_div():
@@ -72,8 +71,8 @@ def test_mul_agrees_with_integers(p, a, b, n):
 
 
 def test_padic_int_roundtrip():
-    x = PAdicInt(3, residue(Fraction(7, 5), 3 ** 4), 4)
-    assert 5 * x.residue % 81 == 7 % 81
-    assert valp(x.residue, 3) == 0
+    x = residue(Fraction(7, 5), 3 ** 4)
+    assert 5 * x % 81 == 7 % 81
+    assert valp(x, 3) == 0
     with pytest.raises(ValueError):
-        PAdicInt(3, residue(Fraction(1, 3), 3 ** 4), 4)
+        residue(Fraction(1, 3), 3 ** 4)  # 3 is not a unit mod 81

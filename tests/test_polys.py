@@ -12,14 +12,14 @@ from padelic.padic import valp
 from padelic.polys import (MAX_POLY_DEGREE, RatPoly, format_poly, horner, horner_mod,
                            parse_poly)
 
-from oracles import binomial_coeffs, min_valuation_on_zp
+from oracles import binomial, binomial_coeffs, min_valuation_on_zp
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 polys = st.builds(RatPoly.make, st.lists(rationals, min_size=0, max_size=6))
 
 
 def test_binomial_polynomial():
-    b3 = RatPoly.binomial(3)  # x(x-1)(x-2)/6
+    b3 = binomial(3)  # x(x-1)(x-2)/6
     assert b3(Fraction(5)) == Fraction(10)
     assert b3.lc() == Fraction(1, 6)
     assert all(b3(Fraction(n)) == math.comb(n, 3) for n in range(10))
